@@ -27,7 +27,14 @@ runtime the campaign *owns*:
   survives;
 * **graceful drain** — on ``KeyboardInterrupt`` (the executor maps
   SIGTERM onto it too) queued cells are cancelled and executing cells
-  drain to completion, exactly like the historical Ctrl-C path.
+  drain to completion, exactly like the historical Ctrl-C path;
+* **a wake channel** — the supervisor blocks in one ``wait`` over the
+  worker pipes, the process sentinels and a pipe of its own;
+  :meth:`Supervisor.wake` (thread-safe) writes to that pipe, so a
+  thread that queues work or asks for a stop is served at once instead
+  of at the next poll tick;
+* **no orphans** — a worker whose supervisor process is gone (SIGKILL
+  leaves no chance to send ``stop``) exits from its heartbeat thread.
 
 The wire protocol is deliberately tiny. Supervisor → worker::
 
@@ -123,6 +130,7 @@ def worker_main(
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _apply_rss_budget(max_rss_mb)
 
+    parent = multiprocessing.parent_process()
     send_lock = threading.Lock()
     stop_beating = threading.Event()
 
@@ -138,6 +146,12 @@ def worker_main(
 
     def beat() -> None:
         while not stop_beating.wait(heartbeat_s):
+            if parent is not None and os.getppid() != parent.pid:
+                # The supervisor was killed outright. EOF on the pipe
+                # cannot be relied on to say so: a forked worker holds
+                # a copy of the supervisor's end of its own pipe (and
+                # of every older sibling's), so ``recv`` blocks forever.
+                os._exit(1)
             if not send(("hb",)):
                 return
 
@@ -256,6 +270,22 @@ class Supervisor:
         self._next_seq = 0
         self._draining = False
         self.worker_restarts = 0  # campaign-total replacement spawns
+        #: The wake channel: its read end is in every ``_poll`` wait
+        #: set. Only raw bytes cross it; the Connection objects are
+        #: there to close both ends when the supervisor is collected.
+        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
+        os.set_blocking(self._wake_w.fileno(), False)
+
+    def wake(self) -> None:
+        """Make a blocked (or the next) ``_poll`` return at once.
+
+        Callable from any thread: whoever appends to the queue or wants
+        the loop to re-read its exit condition calls this afterwards.
+        """
+        try:
+            os.write(self._wake_w.fileno(), b"\0")
+        except BlockingIOError:
+            return  # a full pipe already holds a wake
 
     # -- fleet management ----------------------------------------------
 
@@ -390,7 +420,9 @@ class Supervisor:
         return None
 
     def _poll_timeout(self, now: float) -> float:
-        deadline = now + 0.25
+        # With nothing due, one pass per heartbeat is what the liveness
+        # sweep needs; new work announces itself through ``wake``.
+        deadline = now + self.heartbeat_s
         if self.timeout_s is not None:
             for w in self._workers:
                 if w.job is not None:
@@ -401,17 +433,20 @@ class Supervisor:
         return max(0.01, deadline - now)
 
     def _poll(self, timeout: float) -> None:
-        """Wait for worker messages or deaths and handle them."""
+        """Wait for worker messages, deaths or a wake and handle them."""
         by_obj = {}
         for w in self._workers:
             by_obj[w.conn] = w
             by_obj[w.proc.sentinel] = w
-        if not by_obj:
-            time.sleep(min(timeout, 0.05))
-            return
-        ready = mp_connection.wait(list(by_obj), timeout=timeout)
+        ready = mp_connection.wait(
+            [self._wake_r, *by_obj], timeout=timeout
+        )
         dead: List[_WorkerHandle] = []
         for obj in ready:
+            if obj is self._wake_r:
+                # However many wakes are pending, they are one wake.
+                os.read(self._wake_r.fileno(), 65536)
+                continue
             worker = by_obj[obj]
             if obj is worker.conn:
                 if not self._drain_messages(worker) and worker not in dead:
@@ -605,8 +640,3 @@ def run_supervised(
     )
     supervisor.run(pending)
     return supervisor
-
-
-# ``os`` is used by workers forked from us only through the signal
-# module; keep the import explicit for spawn-method pickling contexts.
-_ = os

@@ -3,7 +3,8 @@
 Routes (all JSON, all ``Connection: close``)::
 
     GET  /v1/healthz                  liveness + drain flag
-    GET  /v1/stats                    queue/flight/shed/dedup counters
+    GET  /v1/stats                    queue/flight/shed/dedup counters,
+                                      dispatch_wait_ms percentiles
     POST /v1/campaigns                submit {"cells": [...], "tenant", "priority"}
     GET  /v1/campaigns/{id}           full campaign state (per-cell taxonomy)
     POST /v1/campaigns/{id}/cancel    cancel queued/running cells
@@ -14,8 +15,8 @@ Submission answers ``202`` with the campaign summary, ``400`` with a
 per-cell problem list for invalid configs, ``429 + Retry-After`` when
 admission sheds the load, and ``503`` while draining. SIGTERM/SIGINT
 trigger the graceful drain: the listener closes (no new admissions),
-executing cells finish within the drain budget, every manifest is
-flushed, and the process exits — a subsequent start replays the
+executing cells finish within the drain budget, every manifest that
+changed is flushed, and the process exits — a subsequent start replays the
 manifests (see :meth:`~repro.serve.service.CampaignService.recover`).
 """
 

@@ -14,8 +14,13 @@ the backlog has drained (graceful drain keeps executing cells).
 :class:`CampaignExecutor` owns that loop on a dedicated thread. The
 threading contract with the rest of the daemon:
 
-* the event loop thread *only* appends jobs to the shared deque
-  (``submit``) and reads counters for stats;
+* the event loop thread *only* appends jobs to the shared deque and
+  then wakes the supervisor (``submit``), and reads counters for stats.
+  The supervisor thread sleeps in one ``wait`` over its worker pipes
+  and its wake channel (:meth:`Supervisor.wake
+  <repro.parallel.supervisor.Supervisor.wake>`), so a queued cell is
+  dispatched when it is queued, not at the next heartbeat tick;
+  ``stop`` wakes it the same way;
 * the executor thread runs every supervisor callback — it writes
   results to the :class:`~repro.experiments.store.ResultStore` there
   (disk I/O stays off the event loop), then posts one terminal
@@ -85,6 +90,10 @@ class CellJob:
     index: int
     config: Any
     key: str
+    #: ``time.monotonic()`` when ``submit`` queued the job; ``started``
+    #: is the supervisor's stamp of its (latest) dispatch to a worker,
+    #: on the same clock, and stays 0.0 for a job that never got one.
+    queued_at: float = 0.0
     attempts: int = 0
     started: float = 0.0
     not_before: float = 0.0
@@ -104,6 +113,10 @@ class CellDone:
     error: Optional[str] = None
     error_kind: Optional[str] = None
     stored_path: Optional[str] = None
+    #: The job's ``queued_at`` / ``started`` stamps (``time.monotonic``);
+    #: ``dispatched_at`` is None when no worker ever took the cell.
+    queued_at: float = 0.0
+    dispatched_at: Optional[float] = None
 
 
 class _ServiceReporter:
@@ -131,7 +144,8 @@ class _ServiceSupervisor(Supervisor):
     Differences from the one-campaign :meth:`Supervisor.run`:
 
     * the queue is external and long-lived — the daemon appends to it
-      from another thread (``deque`` appends are atomic);
+      from another thread (``deque`` appends are atomic) and then
+      calls :meth:`wake`;
     * workers spawn lazily, sized to the backlog, instead of all at
       start-up, and idle workers stay warm between campaigns;
     * the loop exits only when ``stop_event`` is set and every
@@ -213,7 +227,11 @@ class CampaignExecutor:
     def submit(self, config: "ExperimentConfig", key: str) -> None:
         """Queue one flight for execution (event loop thread)."""
         self._next_index += 1
-        self._queue.append(CellJob(index=self._next_index, config=config, key=key))
+        self._queue.append(CellJob(
+            index=self._next_index, config=config, key=key,
+            queued_at=time.monotonic(),
+        ))
+        self._supervisor.wake()
 
     def inflight(self) -> int:
         """Dispatched-but-not-terminal cells (queued here + executing)."""
@@ -225,6 +243,7 @@ class CampaignExecutor:
     def stop(self, timeout_s: float = 30.0) -> bool:
         """Drain: no new dispatches, executing cells finish; True if done."""
         self._stop.set()
+        self._supervisor.wake()
         if not self._thread.is_alive():
             return True
         self._thread.join(timeout_s)
@@ -241,37 +260,39 @@ class CampaignExecutor:
         except Exception as exc:
             # A result we cannot persist is a failed cell as far as the
             # waiters are concerned: nothing durable exists to serve.
-            self._post(CellDone(
-                key=job.key, status="failed", wall_seconds=wall,
-                attempts=job.attempts + 1, worker_restarts=job.worker_restarts,
+            self._post(
+                job, "failed", wall, attempts=job.attempts + 1,
                 error=f"result could not be stored: {exc!r}", error_kind="sim",
-            ))
+            )
             return
-        self._post(CellDone(
-            key=job.key, status="ok", wall_seconds=wall,
-            attempts=job.attempts + 1, worker_restarts=job.worker_restarts,
-            stored_path=path,
-        ))
+        self._post(
+            job, "ok", wall, attempts=job.attempts + 1, stored_path=path
+        )
 
     def _record_failed(
         self, job: CellJob, error: str, wall: float, error_kind: str = "sim"
     ) -> None:
-        self._post(CellDone(
-            key=job.key, status="failed", wall_seconds=wall,
-            attempts=job.attempts, worker_restarts=job.worker_restarts,
+        self._post(
+            job, "failed", wall, attempts=job.attempts,
             error=error, error_kind=error_kind,
-        ))
+        )
 
     def _record_interrupted(
         self, job: CellJob, error: str, wall: float = 0.0
     ) -> None:
-        self._post(CellDone(
-            key=job.key, status="interrupted", wall_seconds=wall,
-            attempts=job.attempts, worker_restarts=job.worker_restarts,
-            error=error,
-        ))
+        self._post(
+            job, "interrupted", wall, attempts=job.attempts, error=error
+        )
 
-    def _post(self, done: CellDone) -> None:
+    def _post(
+        self, job: CellJob, status: str, wall: float, *, attempts: int,
+        **outcome: Any,
+    ) -> None:
+        done = CellDone(
+            key=job.key, status=status, wall_seconds=wall, attempts=attempts,
+            worker_restarts=job.worker_restarts, queued_at=job.queued_at,
+            dispatched_at=job.started or None, **outcome,
+        )
         try:
             self._loop.call_soon_threadsafe(self._on_done, done)
         except RuntimeError:  # pragma: no cover - loop already closed

@@ -10,11 +10,18 @@ makes the single-flight registry race-free without locks.
 Durability model (everything under ``<store>/serve/``):
 
 * ``campaigns/<id>.json`` — the campaign *spec*: tenant, priority,
-  cancellation flag and the full config of every cell (written
-  atomically on submit and on cancel);
+  cancellation flag and the full config of every cell. It is the one
+  durable write of a submission (tmp file + fsync + ``os.replace``,
+  done before the 202 is sent) and is rewritten on cancel;
 * ``campaigns/<id>.manifest.json`` — a standard
-  :class:`~repro.parallel.manifest.RunManifest`, checkpointed after
-  every terminal cell exactly like batch campaigns do;
+  :class:`~repro.parallel.manifest.RunManifest` holding the terminal
+  cells. It is flushed when execution makes a cell terminal, on
+  cancel, on drain and on recovery — and only when the terminal
+  states differ from the last flush, so a campaign admitted complete
+  (every cell ``cached``) gets its manifest once, at drain. Nothing is
+  written at submit: recovery takes ``cached`` from the store and
+  reads a manifest only for its ``failed`` records, which a fresh
+  campaign cannot have;
 * ``sim.log`` — the append-only ledger of simulations actually
   started (written by workers, see
   :class:`~repro.serve.executor.SimRunner`).
@@ -37,6 +44,7 @@ import asyncio
 import dataclasses
 import logging
 import os
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -104,6 +112,13 @@ class CellState:
     #: True when recovery replayed this terminal state from the prior
     #: incarnation's manifest instead of observing it live.
     replayed: bool = False
+    #: ``time.monotonic()`` when this incarnation admitted the cell.
+    admitted_at: float = field(default_factory=time.monotonic)
+    #: Seconds from admission until a worker was handed the cell's
+    #: flight: fair-queue wait plus the executor hand-off. 0.0 for a
+    #: cell that joined a flight already running; None when no worker
+    #: ran it (cached, cancelled or interrupted while queued).
+    queue_wait_s: Optional[float] = None
 
     def to_dict(self) -> dict:
         return {
@@ -113,6 +128,7 @@ class CellState:
             "dedup": self.dedup,
             "attempts": self.attempts,
             "wall_seconds": self.wall_seconds,
+            "queue_wait_s": self.queue_wait_s,
             "error": self.error,
             "error_kind": self.error_kind,
             "worker_restarts": self.worker_restarts,
@@ -147,6 +163,9 @@ class Campaign:
     cells: List[CellState] = field(default_factory=list)
     cancelled: bool = False
     subscribers: List[asyncio.Queue] = field(default_factory=list)
+    #: ``(key, status)`` of every record in the manifest last flushed
+    #: (or found on disk by recovery); no manifest counts as an empty one.
+    flushed: Tuple[Tuple[str, str], ...] = ()
 
     @property
     def done(self) -> bool:
@@ -173,6 +192,43 @@ class Campaign:
         if include_cells:
             out["cells"] = [c.to_dict() for c in self.cells]
         return out
+
+
+class _Reservoir:
+    """Fixed-size uniform sample of a stream (algorithm R), plus its max."""
+
+    SIZE = 1024
+
+    def __init__(self) -> None:
+        self._sample: List[float] = []
+        self._rng = random.Random(0)
+        self.count = 0
+        self.max = 0.0
+
+    def add(self, value: float) -> None:
+        self.count += 1
+        self.max = max(self.max, value)
+        if len(self._sample) < self.SIZE:
+            self._sample.append(value)
+            return
+        slot = self._rng.randrange(self.count)
+        if slot < self.SIZE:
+            self._sample[slot] = value
+
+    def summary(self) -> dict:
+        ordered = sorted(self._sample)
+
+        def quantile(q: float) -> Optional[float]:
+            if not ordered:
+                return None
+            return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+        return {
+            "count": self.count,
+            "p50": quantile(0.50),
+            "p95": quantile(0.95),
+            "max": self.max,
+        }
 
 
 class CampaignService:
@@ -210,6 +266,9 @@ class CampaignService:
         self.started_at = time.time()
         self.cache_hits = 0
         self._done_counts: Dict[str, int] = {}
+        #: ms a dispatched cell sat in the executor's queue before the
+        #: supervisor handed it to a worker, over the daemon's lifetime.
+        self._dispatch_wait_ms = _Reservoir()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -254,10 +313,9 @@ class CampaignService:
                     campaign, cell, CELL_INTERRUPTED,
                     error="daemon drained before the cell started",
                 )
-        for campaign in self.campaigns.values():
-            # Manifest writes are file I/O: off the loop thread (CON001)
-            # so SSE streams keep flowing while drain checkpoints.
-            await loop.run_in_executor(None, self._checkpoint, campaign)
+        # Manifest writes are file I/O: off the loop thread (CON001) so
+        # SSE streams keep flowing while drain checkpoints.
+        await loop.run_in_executor(None, self._checkpoint_all)
 
         if self.executor is not None:
             finished = await loop.run_in_executor(
@@ -279,8 +337,8 @@ class CampaignService:
                         campaign, cell, CELL_INTERRUPTED,
                         error="daemon stopped while the cell was executing",
                     )
+        await loop.run_in_executor(None, self._checkpoint_all)
         for campaign in self.campaigns.values():
-            await loop.run_in_executor(None, self._checkpoint, campaign)
             self._publish(campaign, "drain", {"draining": True})
 
     # -- submission ----------------------------------------------------
@@ -327,8 +385,9 @@ class CampaignService:
             campaign.cells.append(cell)
             self._attach(campaign, cell)
         self.campaigns[campaign.id] = campaign
+        # The spec is the submission's one durable write; see the
+        # module docstring for why no manifest is needed yet.
         self._save_spec(campaign)
-        self._checkpoint(campaign)
         self._pump()
         return campaign
 
@@ -445,25 +504,35 @@ class CampaignService:
         self._done_counts[done.status] = (
             self._done_counts.get(done.status, 0) + 1
         )
+        if done.dispatched_at is not None:
+            self._dispatch_wait_ms.add(
+                (done.dispatched_at - done.queued_at) * 1e3
+            )
         flight = self.flights.land(done.key)
         touched: List[Campaign] = []
         for campaign, cell in (flight.waiters if flight is not None else []):
             cell.attempts = done.attempts
             cell.wall_seconds = done.wall_seconds
             cell.worker_restarts = done.worker_restarts
+            if done.dispatched_at is not None:
+                cell.queue_wait_s = max(
+                    0.0, done.dispatched_at - cell.admitted_at
+                )
             self._settle(
                 campaign, cell, done.status,
                 error=done.error, error_kind=done.error_kind,
             )
             if campaign not in touched:
                 touched.append(campaign)
+        # Refill the freed worker first: the next cell simulates while
+        # the manifests below are being fsync'd.
+        self._pump()
         for campaign in touched:
             self._checkpoint(campaign)
             if campaign.done:
                 self._publish(
                     campaign, "campaign", campaign.summary()
                 )
-        self._pump()
 
     def _settle(
         self,
@@ -545,6 +614,9 @@ class CampaignService:
                     )
                 else:
                     failed_by_key = {c.key: c for c in prior.failed_cells()}
+                    campaign.flushed = tuple(
+                        (c.key, c.status) for c in prior.cells
+                    )
 
             for i, cd in enumerate(data["cells"]):
                 try:
@@ -617,8 +689,17 @@ class CampaignService:
             ],
         })
 
+    def _checkpoint_all(self) -> None:
+        for campaign in list(self.campaigns.values()):
+            self._checkpoint(campaign)
+
     def _checkpoint(self, campaign: Campaign) -> None:
-        """Flush the campaign's RunManifest (terminal cells only)."""
+        """Flush the campaign's RunManifest (terminal cells only).
+
+        A no-op when the manifest last flushed already records exactly
+        these terminal states — a terminal cell never changes again, so
+        equal ``(key, status)`` lists mean an identical file.
+        """
         manifest = RunManifest(jobs=self.workers)
         for cell in campaign.cells:
             if cell.status not in TERMINAL_STATES:
@@ -640,7 +721,11 @@ class CampaignService:
             c.worker_restarts for c in campaign.cells
         )
         manifest.complete = campaign.done
+        signature = tuple((c.key, c.status) for c in manifest.cells)
+        if signature == campaign.flushed:
+            return
         manifest.save(self._manifest_path(campaign.id))
+        campaign.flushed = signature
 
     # -- queries -------------------------------------------------------
 
@@ -679,6 +764,7 @@ class CampaignService:
             "cache_hits": self.cache_hits,
             "dedup_joins": self.flights.joins,
             "cells_done": dict(self._done_counts),
+            "dispatch_wait_ms": self._dispatch_wait_ms.summary(),
             "shed": {
                 "total": self.admission.shed_count,
                 "by_reason": dict(self.admission.shed_by_reason),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -57,6 +58,43 @@ MICRO_SCALE = ScaleProfile(
     moving_lifetimes_ns=(0.5e6,),
     marking_rate=3,
 )
+
+
+def descendants(pid: int) -> list:
+    """Live descendants of ``pid``, from ``/proc`` (Linux)."""
+    found, todo = [], [pid]
+    while todo:
+        parent = todo.pop()
+        try:
+            for task in os.listdir(f"/proc/{parent}/task"):
+                with open(f"/proc/{parent}/task/{task}/children") as fh:
+                    children = [int(c) for c in fh.read().split()]
+                found.extend(children)
+                todo.extend(children)
+        except OSError:
+            continue
+    return found
+
+
+def wait_processes_gone(pids, timeout_s: float = 5.0) -> list:
+    """Wait for every pid to exit; returns the ones still running.
+
+    A zombie counts as gone: an orphan is reparented to whatever runs
+    as init here, which may never reap it.
+    """
+    def running(pid: int) -> bool:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except OSError:
+            return False
+
+    deadline = time.monotonic() + timeout_s
+    left = [p for p in pids if running(p)]
+    while left and time.monotonic() < deadline:
+        time.sleep(0.05)
+        left = [p for p in left if running(p)]
+    return left
 
 
 @pytest.fixture

@@ -6,13 +6,19 @@ tests live in ``test_serve_replay.py``.
 """
 
 import asyncio
+import queue
 import threading
 import time
 
 import pytest
 
+from repro.experiments import ExperimentConfig
+from repro.experiments.store import ResultStore, config_key
+from repro.parallel.manifest import RunManifest
+from repro.parallel.retry import NO_RETRY
 from repro.serve.app import ServeApp
 from repro.serve.client import ServeClient, ServeError
+from repro.serve.executor import CampaignExecutor
 from repro.serve.http import HttpError, read_request
 from repro.serve.loadgen import micro_cell
 from repro.serve.scheduler import (
@@ -23,6 +29,8 @@ from repro.serve.scheduler import (
 )
 from repro.serve.service import CampaignService
 from repro.serve.singleflight import FLIGHT_CANCELLED, SingleFlight
+
+from tests.conftest import MICRO_SCALE
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +216,54 @@ class TestHttpParsing:
 
 
 # ---------------------------------------------------------------------------
+# units: the loop -> supervisor hand-off
+
+
+class _InlineLoop:
+    """Stands in for the event loop: runs posted callbacks at once."""
+
+    @staticmethod
+    def call_soon_threadsafe(fn, *args):
+        fn(*args)
+
+
+class TestExecutorHandOff:
+    def test_submit_and_stop_do_not_wait_for_a_heartbeat(self, tmp_path):
+        # With a 5 s heartbeat nothing but the wake channel can get a
+        # cell to a worker (or the thread to its exit) within a second.
+        sim_log = tmp_path / "sim.log"
+        done: queue.Queue = queue.Queue()
+        executor = CampaignExecutor(
+            loop=_InlineLoop(), store=ResultStore(str(tmp_path / "store")),
+            on_done=done.put, workers=1, retry=NO_RETRY,
+            sim_log=str(sim_log), heartbeat_s=5.0,
+        )
+        executor.start()
+        try:
+            for seed in (1, 2):  # empty fleet, then a warm idle worker
+                time.sleep(0.3)  # the supervisor is back in its wait
+                cfg = ExperimentConfig(
+                    scale=MICRO_SCALE, seed=seed, sim_time_ns=6e5,
+                    warmup_ns=2e5,
+                )
+                key = config_key(cfg)
+                submitted = time.monotonic()
+                executor.submit(cfg, key)
+                while not (sim_log.exists() and key in sim_log.read_text()):
+                    assert time.monotonic() - submitted < 1.0, (
+                        f"cell {seed} not dispatched within 1 s of submit"
+                    )
+                    time.sleep(0.002)
+                outcome = done.get(timeout=60)
+                assert (outcome.key, outcome.status) == (key, "ok")
+                assert 0.0 <= outcome.dispatched_at - outcome.queued_at < 1.0
+        finally:
+            asked = time.monotonic()
+            assert executor.stop(timeout_s=30)
+        assert time.monotonic() - asked < 1.0
+
+
+# ---------------------------------------------------------------------------
 # in-process daemon fixture
 
 
@@ -382,9 +438,63 @@ class TestServeApi:
         for field in (
             "workers", "draining", "campaigns", "queued_flights",
             "cache_hits", "dedup_joins", "shed", "simulations_started",
-            "cells_done", "worker_restarts",
+            "cells_done", "worker_restarts", "dispatch_wait_ms",
         ):
             assert field in stats, field
+
+    def test_dispatch_wait_is_reported_by_the_daemon(self, daemon_factory):
+        d = daemon_factory(subdir="wait-store", workers=1)
+        r = d.client.submit([micro_cell(seed=960 + i) for i in range(3)])
+        final = d.client.wait(r.json()["id"], timeout_s=120)
+        waits = [c["queue_wait_s"] for c in final["cells"]]
+        # One worker: each cell waits for the ones before it...
+        assert waits == sorted(waits) and waits[0] >= 0.0
+        assert waits[2] >= final["cells"][0]["wall_seconds"]
+        # ...while the hand-off itself, once a worker is free, is short.
+        stage = d.client.stats()["dispatch_wait_ms"]
+        assert stage["count"] == 3
+        assert 0.0 <= stage["p50"] <= stage["p95"] <= stage["max"] < 1000.0
+        # A cached cell never waited for a worker.
+        r2 = d.client.submit([micro_cell(seed=960)])
+        (cell,) = d.client.wait(r2.json()["id"], timeout_s=30)["cells"]
+        assert (cell["status"], cell["queue_wait_s"]) == ("cached", None)
+
+    def test_manifests_are_flushed_once_and_only_when_changed(
+        self, daemon_factory, monkeypatch
+    ):
+        writes = []
+        save = RunManifest.save
+        monkeypatch.setattr(
+            RunManifest, "save",
+            lambda self, path: (writes.append(path), save(self, path))[1],
+        )
+
+        def flushed(cid):
+            return sum(1 for p in writes if f"{cid}.manifest" in p)
+
+        d = daemon_factory(subdir="flush-store", workers=1)
+        cells = [micro_cell(seed=980), micro_cell(seed=981)]
+        ran = d.client.submit(cells).json()["id"]
+        d.client.wait(ran, timeout_s=120)
+        born_done = d.client.submit(cells).json()["id"]
+        assert d.client.wait(born_done, timeout_s=30)["counts"] == {"cached": 2}
+        # One flush per executed cell; none for the all-cached campaign
+        # until the drain, which leaves the clean campaign alone.
+        assert (flushed(ran), flushed(born_done)) == (2, 0)
+        d.stop()
+        assert (flushed(ran), flushed(born_done)) == (2, 1)
+
+        # Recovery turns "ok" into "cached" — one rewrite — and finds
+        # the other manifest already saying what it would write.
+        del writes[:]
+        d2 = daemon_factory(subdir="flush-store", workers=1)
+        assert d2.client.campaign(ran)["counts"] == {"cached": 2}
+        d2.stop()
+        assert (flushed(ran), flushed(born_done)) == (1, 0)
+
+        del writes[:]
+        daemon_factory(subdir="flush-store", workers=1).stop()
+        assert writes == []
 
     def test_failure_taxonomy_surfaces_per_cell(self, daemon_factory):
         # A daemon whose per-cell budget no simulation can meet: every

@@ -27,6 +27,8 @@ import pytest
 from repro.serve.client import ServeClient
 from repro.serve.loadgen import micro_cell
 
+from tests.conftest import descendants, wait_processes_gone
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -60,6 +62,15 @@ def _spawn_daemon(tmp_path, tag, extra=()):
     return proc, ServeClient(host, int(port))
 
 
+def _end(proc, sig):
+    """Signal the daemon and reap it; nothing it started may outlive it."""
+    workers = descendants(proc.pid)
+    proc.send_signal(sig)
+    code = proc.wait(timeout=120)
+    assert wait_processes_gone(workers) == [], "orphaned worker processes"
+    return code
+
+
 def _sim_log_keys(tmp_path):
     path = tmp_path / "store" / "serve" / "sim.log"
     if not path.exists():
@@ -90,8 +101,7 @@ def test_sigkill_mid_campaign_then_restart_replays_without_resimulating(
             assert time.monotonic() < deadline
             time.sleep(0.05)
     finally:
-        proc.kill()
-        proc.wait(timeout=30)
+        _end(proc, signal.SIGKILL)
 
     completed_before = {
         c["key"] for c in state["cells"] if c["status"] == "ok"
@@ -135,8 +145,61 @@ def test_sigkill_mid_campaign_then_restart_replays_without_resimulating(
         # ledger at least once, and the campaign is fully served.
         assert set(started_after) == set(by_key)
     finally:
-        proc2.send_signal(signal.SIGTERM)
-        assert proc2.wait(timeout=60) == 0
+        assert _end(proc2, signal.SIGTERM) == 0
+
+
+@pytest.mark.slow
+def test_sigkill_before_any_manifest_recovers_from_the_specs_alone(tmp_path):
+    """The spec is a submission's only durable write: it must suffice."""
+    camp_dir = tmp_path / "store" / "serve" / "campaigns"
+    seen = [micro_cell(seed=8200 + i) for i in range(2)]
+    fresh = [micro_cell(seed=8210 + i) for i in range(3)]
+    proc, client = _spawn_daemon(tmp_path, "first", extra=("--jobs", "1"))
+    try:
+        warm = client.submit(seen).json()["id"]
+        seen_keys = [c["key"] for c in client.wait(warm, timeout_s=120)["cells"]]
+        seen_bytes = {k: client.result_bytes(k) for k in seen_keys}
+
+        # The single worker is kept busy, so the next campaign only queues.
+        assert client.submit([micro_cell(seed=8220)]).status == 202
+        accepted = {}
+        for name, cells in (("cached", seen), ("queued", fresh)):
+            r = client.submit(cells, tenant=name)
+            assert r.status == 202
+            cid = accepted[name] = r.json()["id"]
+            # Durable by the time the 202 is out...
+            spec = json.loads((camp_dir / f"{cid}.json").read_text())
+            assert len(spec["cells"]) == len(cells)
+            # ...and that is all there is.
+            assert not (camp_dir / f"{cid}.manifest.json").exists()
+    finally:
+        _end(proc, signal.SIGKILL)
+    started_before = _sim_log_keys(tmp_path)
+    stored_before = {
+        p.stem for p in (tmp_path / "store").glob("??/*.json")
+    }
+
+    proc2, client2 = _spawn_daemon(tmp_path, "second", extra=("--jobs", "1"))
+    try:
+        cached = client2.wait(accepted["cached"], timeout_s=180)
+        assert [c["key"] for c in cached["cells"]] == seen_keys
+        for cell in cached["cells"]:
+            assert (cell["status"], cell["replayed"]) == ("cached", True)
+            assert client2.result_bytes(cell["key"]) == seen_bytes[cell["key"]]
+
+        queued = client2.wait(accepted["queued"], timeout_s=180)
+        counts = queued["counts"]
+        assert counts.get("ok", 0) + counts.get("cached", 0) == len(fresh)
+        started_after = _sim_log_keys(tmp_path)
+        for key in seen_keys:
+            assert started_after.count(key) == 1
+        for cell in queued["cells"]:
+            key = cell["key"]
+            # Only a cell caught mid-execution by the kill runs twice.
+            cut_short = key in started_before and key not in stored_before
+            assert started_after.count(key) == 1 + cut_short, key
+    finally:
+        assert _end(proc2, signal.SIGTERM) == 0
 
 
 @pytest.mark.slow
@@ -147,8 +210,7 @@ def test_sigterm_drains_checkpoints_and_exits_zero(tmp_path):
     cid = r.json()["id"]
     # Let at least one cell start executing, then ask for a drain.
     time.sleep(0.5)
-    proc.send_signal(signal.SIGTERM)
-    assert proc.wait(timeout=120) == 0
+    assert _end(proc, signal.SIGTERM) == 0
 
     # The spec and a valid manifest checkpoint survived the drain.
     camp_dir = tmp_path / "store" / "serve" / "campaigns"
@@ -169,5 +231,4 @@ def test_sigterm_drains_checkpoints_and_exits_zero(tmp_path):
         for c in final["cells"]:
             assert started.count(c["key"]) == 1, c["key"]
     finally:
-        proc2.send_signal(signal.SIGTERM)
-        assert proc2.wait(timeout=60) == 0
+        assert _end(proc2, signal.SIGTERM) == 0

@@ -23,7 +23,9 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -37,8 +39,10 @@ from repro.parallel import (
     RunManifest,
     run_campaign,
 )
+from repro.parallel.pool import _CellJob
+from repro.parallel.supervisor import Supervisor
 
-from tests.conftest import MICRO_SCALE
+from tests.conftest import MICRO_SCALE, descendants, wait_processes_gone
 
 #: The seed of the deterministic kill schedule. Changing it changes
 #: *which* cells get their worker killed, never whether the campaign
@@ -409,7 +413,7 @@ _SIGTERM_CHILD = textwrap.dedent("""
     print("ready", flush=True)
     try:
         run_campaign(
-            micro_grid(8), jobs=4, oversubscribe=True, cache={cache!r},
+            micro_grid({n_cells}), jobs=4, oversubscribe=True, cache={cache!r},
             manifest_path={manifest!r}, run_fn=slow_run,
         )
     except CampaignInterrupted:
@@ -420,28 +424,41 @@ _SIGTERM_CHILD = textwrap.dedent("""
 
 class TestSigtermDrain:
     def test_sigterm_drains_and_checkpoints_like_ctrl_c(self, tmp_path):
-        cells = micro_grid(8)
+        # Four waves of four 0.4 s cells: when the first cell lands in
+        # the checkpointed manifest, two waves are still queued, so the
+        # drain has work to cancel however fast the host is.
+        cells = micro_grid(16)
         cache_dir = str(tmp_path / "cache")
         manifest_path = str(tmp_path / "run.json")
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         script = tmp_path / "child.py"
         script.write_text(_SIGTERM_CHILD.format(
             src=os.path.join(root, "src"), root=root,
-            cache=cache_dir, manifest=manifest_path,
+            cache=cache_dir, manifest=manifest_path, n_cells=len(cells),
         ))
         proc = subprocess.Popen(
             [sys.executable, str(script)],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         )
         assert proc.stdout.readline().strip() == "ready"
-        time.sleep(1.5)  # a few cells complete, several remain
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                if RunManifest.load(manifest_path).ok >= 1:
+                    break
+            except FileNotFoundError:
+                pass  # the first checkpoint has not been written yet
+            assert proc.poll() is None, "campaign ended before any checkpoint"
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=60) == 17
 
         saved = RunManifest.load(manifest_path)
         assert saved.complete is False
-        assert saved.ok >= 1, "SIGTERM landed before any cell finished"
-        assert saved.ok + saved.interrupted == 8
+        assert saved.ok >= 1
+        assert saved.interrupted >= 1, "the drain had nothing left to cancel"
+        assert saved.ok + saved.interrupted == len(cells)
         assert saved.failures == 0
 
         # Drained cells are in the cache; resume completes the grid and
@@ -477,3 +494,115 @@ class TestWorkerPersistence:
 
 def _report_pid(cfg):
     return os.getpid()
+
+
+# ---------------------------------------------------------------------------
+# A SIGKILLed supervisor leaves no worker behind
+
+
+_ORPHAN_CHILD = textwrap.dedent("""
+    import os, sys, time
+    sys.path.insert(0, {src!r})
+    from repro.parallel import run_campaign
+
+    def run(cfg):
+        with open(os.path.join({pid_dir!r}, cfg["name"]), "w") as fh:
+            fh.write(str(os.getpid()))
+        if cfg["name"] == "busy":
+            time.sleep(120)
+        return cfg["name"]
+
+    run_campaign(
+        [{{"name": "idle"}}, {{"name": "busy"}}], jobs=2, oversubscribe=True,
+        run_fn=run,
+    )
+""")
+
+
+class TestNoOrphans:
+    def test_sigkilled_supervisor_takes_idle_and_busy_workers_with_it(
+        self, tmp_path
+    ):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        script = tmp_path / "child.py"
+        script.write_text(_ORPHAN_CHILD.format(
+            src=os.path.join(root, "src"), pid_dir=str(pid_dir),
+        ))
+        proc = subprocess.Popen([sys.executable, str(script)])
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(pid_dir.iterdir())) < 2:
+                assert proc.poll() is None
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            time.sleep(0.3)  # the "idle" cell is done: its worker waits
+            workers = descendants(proc.pid)
+            assert len(workers) == 2
+            assert {int(f.read_text()) for f in pid_dir.iterdir()} == set(workers)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        # No "stop" was sent and, under fork, no EOF either: each worker
+        # must notice by itself, within a few 0.25 s heartbeats.
+        assert wait_processes_gone(workers, timeout_s=5.0) == []
+
+
+# ---------------------------------------------------------------------------
+# The wake channel is inert for a batch run
+
+
+class _Recorder:
+    retries = 0
+    worker_restarts = 0
+
+    def __init__(self):
+        self.ok = []
+
+    def note(self, line):
+        pass
+
+    def on_retry(self, index, attempt, error):
+        self.retries += 1
+
+    def on_worker_restart(self, worker_id, line):
+        self.worker_restarts += 1
+
+    def record_ok(self, job, result, wall):
+        self.ok.append(job.index)
+
+    def record_bad(self, job, error, wall=0.0, **kw):
+        raise AssertionError(f"cell {job.index}: {error}")
+
+
+class TestWakeChannel:
+    def test_batch_run_is_unaffected_by_a_storm_of_wakes(self):
+        rec = _Recorder()
+        sup = Supervisor(
+            _report_pid, workers=2, retry=RetryPolicy(max_attempts=1),
+            reporter=rec, record_ok=rec.record_ok,
+            record_failed=rec.record_bad, record_interrupted=rec.record_bad,
+        )
+        # More wakes than a pipe buffer holds: wake() must never block.
+        for _ in range(40_000):
+            sup.wake()
+        stop = threading.Event()
+
+        def storm():
+            while not stop.is_set():
+                sup.wake()
+
+        thread = threading.Thread(target=storm, daemon=True)
+        thread.start()
+        try:
+            sup.run(deque(
+                _CellJob(index=i, config={"cell": i}, key=str(i))
+                for i in range(12)
+            ))
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert sorted(rec.ok) == list(range(12))
+        assert (sup.worker_restarts, rec.retries, rec.worker_restarts) == (0, 0, 0)
