@@ -38,13 +38,7 @@ def congestion_snapshot(network, *, vl: int = 0) -> Dict[str, object]:
     ports = congested_ports(network, vl=vl)
     branches: Dict[Tuple[int, int], List[int]] = {}
     for sw_id, out in ports:
-        sw = network.switches[sw_id]
-        feeders = [
-            ip.port_id
-            for ip in sw.input_ports
-            if ip.voqs[out][vl]
-        ]
-        branches[(sw_id, out)] = feeders
+        branches[(sw_id, out)] = network.switches[sw_id].arbiters[out].feeders(vl)
     return {
         "time_ns": network.sim.now,
         "buffered_bytes": {

@@ -108,12 +108,9 @@ class CongestionTreeTracker:
         branches: Dict[PortKey, FrozenSet[int]] = {}
         backlog: Dict[PortKey, int] = {}
         for sw_id, out in roots:
-            sw = net.switches[sw_id]
-            feeders = frozenset(
-                ip.port_id for ip in sw.input_ports if ip.voqs[out][self.vl]
-            )
-            branches[(sw_id, out)] = feeders
-            backlog[(sw_id, out)] = sw.arbiters[out].queued_bytes[self.vl]
+            arbiter = net.switches[sw_id].arbiters[out]
+            branches[(sw_id, out)] = frozenset(arbiter.feeders(self.vl))
+            backlog[(sw_id, out)] = arbiter.queued_bytes[self.vl]
         deepest = max(backlog.values(), default=0)
         dominant = frozenset(
             key for key, depth in backlog.items() if depth >= 0.5 * deepest

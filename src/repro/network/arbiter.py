@@ -7,6 +7,12 @@ per-port fair sharing of a saturated output that the paper's Table II
 numbers rely on (see also the authors' companion work on switch
 arbitration and fairness, CCGRID'11).
 
+The input ports own the VoQs (:mod:`repro.network.ports`): ``deliver``
+creates one with its first packet and tells :meth:`on_packet_queued`
+so, ``grant`` drops it with its last. A VoQ's existence is therefore
+the arbiter's activity flag — the rotation holds exactly the inputs
+that have one, and :meth:`feeders` is the read accessor for that set.
+
 The arbiter also maintains ``queued_bytes[vl]`` — the total bytes
 queued across all input VoQs destined to this output Port VL — which is
 the quantity the switch-side CC threshold (section II.1 of the paper)
@@ -30,7 +36,6 @@ class VLArbiter:
         "n_vls",
         "queued_bytes",
         "_active",
-        "_is_active",
         "_rr_vl",
         "_kicking",
         "grants",
@@ -41,21 +46,20 @@ class VLArbiter:
         self.out_index = out_index
         self.n_vls = n_vls
         self.queued_bytes: List[int] = [0] * n_vls
-        # Per VL: rotation order of input ports with a non-empty VoQ.
+        # Per VL: rotation order of the input ports that hold a VoQ for
+        # this output (VoQs exist only while non-empty: module doc).
         self._active: List[deque] = [deque() for _ in range(n_vls)]
-        # Membership flags to keep the active list duplicate-free.
-        self._is_active: List[List[bool]] = [
-            [False] * switch.n_ports for _ in range(n_vls)
-        ]
         self._rr_vl = 0
         self._kicking = False
         self.grants = 0
 
-    def on_packet_queued(self, in_port: int, vl: int, pkt: Packet) -> None:
-        """Register a newly queued packet and try to grant."""
+    def on_packet_queued(
+        self, in_port: int, vl: int, pkt: Packet, opened: bool
+    ) -> None:
+        """Register a newly queued packet and try to grant; ``opened``
+        says it created its VoQ, i.e. ``in_port`` joins the rotation."""
         self.queued_bytes[vl] += pkt.wire_size
-        if not self._is_active[vl][in_port]:
-            self._is_active[vl][in_port] = True
+        if opened:
             self._active[vl].append(in_port)
         self.kick()
 
@@ -73,8 +77,8 @@ class VLArbiter:
             out = self.switch.output_ports[out_index]
             inputs = self.switch.input_ports
             n_vls = self.n_vls
+            base = out_index * n_vls
             active = self._active
-            is_active = self._is_active
             queued_bytes = self.queued_bytes
             capacity = out.capacity
             while True:
@@ -86,18 +90,17 @@ class VLArbiter:
                     if not act:
                         continue
                     inp = inputs[act[0]]
-                    voq = inp.voqs[out_index][vl]
+                    voq = inp.voqs[base + vl]
                     wire = voq[0].wire_size
                     if out.queue_bytes + wire > capacity:
                         continue
                     pkt = inp.grant(out_index, vl)
                     queued_bytes[vl] -= wire
                     self.grants += 1
-                    ip = act.popleft()
                     if voq:
-                        act.append(ip)  # rotate: fair round robin
+                        act.rotate(-1)  # fair round robin
                     else:
-                        is_active[vl][ip] = False
+                        act.popleft()  # drained: grant() dropped the VoQ
                     out.enqueue(pkt)
                     granted = True
                     break
@@ -105,6 +108,10 @@ class VLArbiter:
                     return
         finally:
             self._kicking = False
+
+    def feeders(self, vl: int) -> List[int]:
+        """Input ports holding packets for this output Port VL, ascending."""
+        return sorted(self._active[vl])
 
     def total_queued(self, vl: int) -> int:
         """Bytes waiting in input VoQs for this output Port VL."""

@@ -18,6 +18,15 @@ FIFO per VL and round-robins over the VLs whose head packet is covered
 by credits, so a congested data VL can never head-of-line block the
 (e.g.) CNP VL — matching real IB egress behaviour where the VL
 arbitration happens at the transmit stage.
+
+A virtual output queue exists exactly while it holds a packet:
+:meth:`SwitchInputPort.deliver` creates the FIFO for the first packet of
+an (output, VL), :meth:`SwitchInputPort.grant` drops it with the last;
+an empty slot holds ``None``. Credits cap an input buffer at
+``capacity`` bytes per VL (7 MTU packets by default), so few of an
+input's queues can be live at once — and none outgrows ``capacity`` /
+smallest packet entries, which is why the FIFO is a plain list: cheap
+to make once per hop, and ``pop(0)`` on it stays tens of nanoseconds.
 """
 
 from __future__ import annotations
@@ -332,6 +341,7 @@ class SwitchInputPort:
         "capacity",
         "occupancy",
         "voqs",
+        "_n_vls",
         "_upstream",
         "_upstream_credit",
         "credit_delay_ns",
@@ -354,10 +364,9 @@ class SwitchInputPort:
         self.port_id = port_id
         self.capacity = capacity
         self.occupancy: List[int] = [0] * n_vls
-        # voqs[out_port][vl] -> deque of packets
-        self.voqs: List[List[deque]] = [
-            [deque() for _ in range(n_vls)] for _ in range(switch.n_ports)
-        ]
+        # voqs[out_port * n_vls + vl] -> FIFO (list, head first) or None
+        self.voqs: List[Optional[List[Packet]]] = [None] * (switch.n_ports * n_vls)
+        self._n_vls = n_vls
         self._upstream: Optional[OutputPort] = None
         self._upstream_credit = None
         self.credit_delay_ns = 0.0
@@ -404,23 +413,31 @@ class SwitchInputPort:
                 f"routing loop: packet for node {pkt.dst} routed back out "
                 f"port {out} of switch {self.switch.node_id}"
             )
-        self.voqs[out][vl].append(pkt)
-        self.switch.arbiters[out].on_packet_queued(self.port_id, vl, pkt)
+        voqs = self.voqs
+        slot = out * self._n_vls + vl
+        voq = voqs[slot]
+        opened = voq is None
+        if opened:
+            voqs[slot] = [pkt]
+        else:
+            voq.append(pkt)
+        self.switch.arbiters[out].on_packet_queued(self.port_id, vl, pkt, opened)
 
     def grant(self, out_port: int, vl: int) -> Packet:
         """Arbiter callback: move the VoQ head into the crossbar.
 
-        Frees the buffer space and schedules the credit return to the
-        upstream output port after the reverse-channel delay.
+        Frees the buffer space (and the VoQ once drained) and schedules
+        the credit return to the upstream output port after the
+        reverse-channel delay.
         """
-        pkt = self.voqs[out_port][vl].popleft()
+        voqs = self.voqs
+        slot = out_port * self._n_vls + vl
+        voq = voqs[slot]
+        pkt = voq.pop(0)
+        if not voq:
+            voqs[slot] = None
         wire = pkt.wire_size
         self.occupancy[vl] -= wire
         if self._upstream_credit is not None:
             self._schedule(self.credit_delay_ns, self._upstream_credit, (vl, wire))
         return pkt
-
-    def voq_head(self, out_port: int, vl: int) -> Optional[Packet]:
-        """Peek the head packet of one VoQ (None when empty)."""
-        q = self.voqs[out_port][vl]
-        return q[0] if q else None

@@ -49,6 +49,12 @@ class CellRecord:
     # Which congestion-control mechanism the cell ran ("off" when
     # cc=False); None only for manifests written before repro.cc.
     cc_mechanism: Optional[str] = None
+    # RSS high-water mark (MB) of the process that ran the cell, read
+    # when the cell ended. Workers are persistent, so this is monotone
+    # across the cells one worker ran -- the number ``max_rss_mb`` has
+    # to clear, not the cell's own footprint. None for cached cells and
+    # for manifests written before the field existed.
+    peak_rss_mb: Optional[float] = None
 
 
 @dataclass
@@ -128,6 +134,7 @@ class RunManifest:
                     else None
                 ),
                 cc_mechanism=getattr(outcome.config, "cc_mechanism", None),
+                peak_rss_mb=getattr(outcome, "peak_rss_mb", None),
             )
         )
 

@@ -69,6 +69,7 @@ from repro.parallel.retry import NO_RETRY, RetryPolicy
 from repro.parallel.supervisor import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_POISON_THRESHOLD,
+    peak_rss_mb,
     run_supervised,
 )
 
@@ -120,6 +121,9 @@ class CellOutcome:
     # Worker processes this cell killed or had preempted while it was
     # in flight (crash / stall / timeout kills attributed to the cell).
     worker_restarts: int = 0
+    # RSS high-water mark (MB) of the process that ran the cell, read
+    # when the cell ended; None when nothing ran (cached, replayed).
+    peak_rss_mb: Optional[float] = None
 
     @property
     def ok(self) -> bool:
@@ -198,6 +202,7 @@ class _CellJob:
     # a supervised worker (stale replies are matched against it).
     seq: int = -1
     worker_restarts: int = 0
+    peak_rss_mb: Optional[float] = None
 
 
 def _install_sigterm_handler() -> Callable[[], None]:
@@ -365,7 +370,7 @@ def run_campaign(
         outcomes[job.index] = CellOutcome(
             index=job.index, config=job.config, key=job.key, status="ok",
             attempts=job.attempts + 1, wall_seconds=wall, result=result,
-            worker_restarts=job.worker_restarts,
+            worker_restarts=job.worker_restarts, peak_rss_mb=job.peak_rss_mb,
         )
         cache.save(result)  # write-through
         reporter.on_outcome(outcomes[job.index])
@@ -378,6 +383,7 @@ def run_campaign(
             index=job.index, config=job.config, key=job.key, status="failed",
             attempts=job.attempts, wall_seconds=wall, error=error,
             error_kind=error_kind, worker_restarts=job.worker_restarts,
+            peak_rss_mb=job.peak_rss_mb,
         )
         reporter.on_outcome(outcomes[job.index])
         checkpoint()
@@ -483,7 +489,10 @@ def _run_serial(
                     if delay > 0:
                         time.sleep(delay)
                     continue
+                job.peak_rss_mb = peak_rss_mb()
                 record_failed(job, error, wall, error_kind=kind)
             else:
-                record_ok(job, result, time.perf_counter() - started)
+                wall = time.perf_counter() - started
+                job.peak_rss_mb = peak_rss_mb()
+                record_ok(job, result, wall)
             break

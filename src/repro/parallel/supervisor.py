@@ -43,11 +43,17 @@ The wire protocol is deliberately tiny. Supervisor → worker::
 
 Worker → supervisor::
 
-    ("ready",)                        the worker loop is up
-    ("hb",)                           heartbeat (every ``heartbeat_s``)
-    ("done", seq, "ok", result, wall) cell finished
-    ("done", seq, kind, error, wall)  cell raised; *kind* is a taxonomy
-                                      error kind (oom/config/sim)
+    ("ready",)                             the worker loop is up
+    ("hb",)                                heartbeat (every ``heartbeat_s``)
+    ("done", seq, "ok", result, wall, rss) cell finished
+    ("done", seq, kind, error, wall, rss)  cell raised; *kind* is a
+                                           taxonomy error kind
+                                           (oom/config/sim)
+
+*rss* is :func:`peak_rss_mb` read when the cell ended. A worker is
+persistent, so it is the worker's high-water mark so far — monotone
+across the cells one worker runs, not this cell's own footprint — which
+is exactly the number ``max_rss_mb`` has to clear.
 
 Everything else — crash, stall, timeout, poison — is inferred by the
 supervisor from process sentinels and deadlines, because a dead or
@@ -59,6 +65,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
 from multiprocessing import connection as mp_connection
@@ -111,6 +118,17 @@ def _apply_rss_budget(max_rss_mb: Optional[float]) -> None:
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     except (ValueError, OSError):  # pragma: no cover - exotic rlimit state
         return
+
+
+def peak_rss_mb() -> Optional[float]:
+    """This process's resident-set high-water mark in MB (None off POSIX)."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX
+        return None
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports kilobytes, macOS bytes.
+    return rss / (1 << 20) if sys.platform == "darwin" else rss / 1024.0
 
 
 def worker_main(
@@ -176,10 +194,10 @@ def worker_main(
             except BaseException as exc:
                 wall = time.perf_counter() - started
                 reply = ("done", seq, classify_exception(exc),
-                         format_error(exc), wall)
+                         format_error(exc), wall, peak_rss_mb())
             else:
                 wall = time.perf_counter() - started
-                reply = ("done", seq, "ok", result, wall)
+                reply = ("done", seq, "ok", result, wall, peak_rss_mb())
             if not send(reply):
                 if reply[2] == "ok":
                     # The result itself may be unpicklable/oversized —
@@ -188,7 +206,7 @@ def worker_main(
                     if not send(("done", seq, "sim",
                                  "result could not be sent to the "
                                  "supervisor (unpicklable or pipe closed)",
-                                 reply[4])):
+                                 *reply[4:])):
                         break
                 else:
                     break
@@ -475,12 +493,13 @@ class Supervisor:
                 continue
             if tag != "done":
                 continue
-            _, seq, kind, payload, wall = msg
+            _, seq, kind, payload, wall, rss = msg
             job = worker.job
             if job is None or job.seq != seq:
                 continue  # stale reply from a cell already accounted for
             worker.job = None
             worker.cells_done += 1
+            job.peak_rss_mb = rss
             if kind == "ok":
                 self.record_ok(job, payload, wall)
             else:

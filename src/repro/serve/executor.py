@@ -99,6 +99,7 @@ class CellJob:
     not_before: float = 0.0
     seq: int = -1
     worker_restarts: int = 0
+    peak_rss_mb: Optional[float] = None
 
 
 @dataclass
@@ -117,6 +118,8 @@ class CellDone:
     #: ``dispatched_at`` is None when no worker ever took the cell.
     queued_at: float = 0.0
     dispatched_at: Optional[float] = None
+    #: The worker's RSS high-water mark (MB) when the cell ended.
+    peak_rss_mb: Optional[float] = None
 
 
 class _ServiceReporter:
@@ -291,7 +294,8 @@ class CampaignExecutor:
         done = CellDone(
             key=job.key, status=status, wall_seconds=wall, attempts=attempts,
             worker_restarts=job.worker_restarts, queued_at=job.queued_at,
-            dispatched_at=job.started or None, **outcome,
+            dispatched_at=job.started or None,
+            peak_rss_mb=job.peak_rss_mb, **outcome,
         )
         try:
             self._loop.call_soon_threadsafe(self._on_done, done)

@@ -109,6 +109,9 @@ class CellState:
     #: (crash|oom|timeout|config|sim|poisoned|unknown).
     error_kind: Optional[str] = None
     worker_restarts: int = 0
+    #: The worker's RSS high-water mark (MB) when the cell's flight
+    #: ended; None when no worker ran it (cached, cancelled, replayed).
+    peak_rss_mb: Optional[float] = None
     #: True when recovery replayed this terminal state from the prior
     #: incarnation's manifest instead of observing it live.
     replayed: bool = False
@@ -132,6 +135,7 @@ class CellState:
             "error": self.error,
             "error_kind": self.error_kind,
             "worker_restarts": self.worker_restarts,
+            "peak_rss_mb": self.peak_rss_mb,
             "replayed": self.replayed,
         }
 
@@ -149,6 +153,7 @@ class _OutcomeView:
     error: Optional[str]
     error_kind: Optional[str]
     worker_restarts: int
+    peak_rss_mb: Optional[float]
     result: Any = None
 
 
@@ -514,6 +519,7 @@ class CampaignService:
             cell.attempts = done.attempts
             cell.wall_seconds = done.wall_seconds
             cell.worker_restarts = done.worker_restarts
+            cell.peak_rss_mb = done.peak_rss_mb
             if done.dispatched_at is not None:
                 cell.queue_wait_s = max(
                     0.0, done.dispatched_at - cell.admitted_at
@@ -716,6 +722,7 @@ class CampaignService:
                 wall_seconds=cell.wall_seconds, error=error,
                 error_kind=cell.error_kind,
                 worker_restarts=cell.worker_restarts,
+                peak_rss_mb=cell.peak_rss_mb,
             ))
         manifest.worker_restarts = sum(
             c.worker_restarts for c in campaign.cells

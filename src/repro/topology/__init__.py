@@ -11,7 +11,9 @@ Routing is deterministic destination-mod-k ("d-mod-k") up-routing with
 single-path down-routing, expressed as per-switch linear forwarding
 tables — the routing the paper uses ("routing using linear forwarding
 tables"). :mod:`repro.topology.generic` builds LFTs for arbitrary
-networkx graphs for experimentation beyond fat-trees.
+networkx graphs for experimentation beyond fat-trees; networkx itself
+is loaded by the first :func:`topology_from_graph` call, not by
+importing this package.
 """
 
 from repro.topology.spec import Topology, SwitchSpec, HostLink, SwitchLink

@@ -15,15 +15,18 @@ into linear forwarding tables.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.topology.spec import HostLink, SwitchLink, SwitchSpec, Topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def topology_from_graph(graph: nx.Graph, *, name: str = "graph") -> Topology:
     """Convert a host/switch graph into a :class:`Topology` with LFTs."""
+    import networkx as nx  # here: a third of ``import repro`` otherwise
+
     hosts = sorted(n for n in graph.nodes if n[0] == "h")
     switches = sorted(n for n in graph.nodes if n[0] == "s")
     if not hosts or not switches:

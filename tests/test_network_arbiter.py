@@ -95,6 +95,72 @@ class TestRoundRobinFairness:
         sim.run()
         assert len(sinks[1].packets) == 2
 
+    def test_drain_and_rearm_keeps_round_robin_and_fifo_order(self):
+        sim = Simulator()
+        # One packet fits the obuf, so a plug from port 4 holds every
+        # later arrival in its VoQ until the output gets credits.
+        sw, sinks = make_switch(sim, n_ports=5, n_vls=2, obuf_capacity=600)
+        out, arbiter = sw.output_ports[3], sw.arbiters[3]
+        seq = iter(range(1000))
+
+        def wave(order):
+            out.credits = [0.0, 0.0]
+            sw.input_ports[4].deliver(Packet(4, 3, 500, header=0))
+            for _ in range(2):
+                for inp in order:
+                    for vl in (0, 1):
+                        sw.input_ports[inp].deliver(
+                            Packet(inp, 3, 500, header=0, vl=vl, msg_id=next(seq))
+                        )
+            assert [list(arbiter._active[vl]) for vl in (0, 1)] == [order] * 2
+            assert arbiter.feeders(0) == arbiter.feeders(1) == sorted(order)
+            sent = len(sinks[3].packets)
+            out.on_credit((1, 10.0**9))
+            out.on_credit((0, 10.0**9))
+            sim.run()
+            return sinks[3].packets[sent + 1:]  # without the plug
+
+        for order in ([0, 1, 2], [2, 0, 1]):
+            got = wave(order)
+            assert len(got) == 12
+            # VLs alternate; within a VL the inputs take turns in the
+            # order their VoQs opened; within a VoQ, arrival order.
+            assert all(a.vl != b.vl for a, b in zip(got, got[1:]))
+            for vl in (0, 1):
+                assert [p.src for p in got if p.vl == vl] == order * 2
+                for inp in order:
+                    ids = [p.msg_id for p in got if (p.src, p.vl) == (inp, vl)]
+                    assert ids == sorted(ids) and len(ids) == 2
+            # Drained: no VoQ, nobody in the rotation, nothing counted.
+            assert all(v is None for ip in sw.input_ports for v in ip.voqs)
+            assert arbiter.feeders(0) == arbiter.feeders(1) == []
+            assert arbiter.queued_bytes == [0, 0]
+
+    def test_reopened_voq_is_a_fresh_queue(self):
+        sim = Simulator()
+        sw, sinks = make_switch(sim, obuf_capacity=600)
+        inp, out = sw.input_ports[0], sw.output_ports[1]
+        slot = 1 * sw.n_vls + 0
+        out.credits = [0.0]
+        plug, b, c = (Packet(0, 1, 500, header=0, msg_id=i) for i in range(3))
+        inp.deliver(plug)  # straight through to the obuf
+        assert inp.voqs[slot] is None
+        inp.deliver(b)
+        old = inp.voqs[slot]
+        assert list(old) == [b]
+        out.on_credit((0, 1100.0))  # covers plug and b, not c
+        sim.run()
+        assert inp.voqs[slot] is None and len(old) == 0
+        inp.deliver(c)  # fills the obuf, which is out of credits again
+        inp.deliver(Packet(0, 1, 500, header=0, msg_id=3))
+        new = inp.voqs[slot]
+        assert new is not old and len(old) == 0
+        assert [p.msg_id for p in new] == [3]
+        out.on_credit((0, 10.0**9))
+        sim.run()
+        assert [p.msg_id for p in sinks[1].packets] == [0, 1, 2, 3]
+        assert sw.arbiters[1].grants == 4 and inp.voqs[slot] is None
+
     def test_grant_counter(self):
         sim = Simulator()
         sw, _ = make_switch(sim)

@@ -76,6 +76,12 @@ def fail_once_via_marker(cfg):
     return "recovered"
 
 
+def fail_named_bad(cfg):
+    if cfg.name == "bad":
+        raise RuntimeError("boom bad")
+    return run_experiment(cfg)
+
+
 def sleepy(cfg):
     time.sleep(0.5)
     return "too late"
@@ -355,6 +361,28 @@ class TestManifestAndProgress:
         loaded = RunManifest.load(path)
         assert loaded.to_dict() == campaign.manifest.to_dict()
         assert [c.key for c in loaded.cells] == [o.key for o in campaign.outcomes]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_manifest_records_peak_rss_of_the_process_that_ran_the_cell(
+        self, tmp_path, jobs
+    ):
+        path = str(tmp_path / "manifest.json")
+        cfgs = micro_grid((1, 2, 3))
+        run_campaign(
+            cfgs + [micro_cfg(name="bad")], jobs=jobs, cache=str(tmp_path),
+            run_fn=fail_named_bad, manifest_path=path,
+        )
+        cells = RunManifest.load(path).cells
+        assert [c.status for c in cells] == ["ok"] * 3 + ["failed"]
+        # Stamped for failures too: an OOM'd cell is where it matters.
+        assert all(c.peak_rss_mb > 5.0 for c in cells)
+        if jobs == 1:  # one process ran them all: a high-water mark
+            peaks = [c.peak_rss_mb for c in cells]
+            assert peaks == sorted(peaks)
+        # Nothing ran the second time, so there is nothing to report.
+        run_campaign(cfgs, jobs=jobs, cache=str(tmp_path), manifest_path=path)
+        cells = RunManifest.load(path).cells
+        assert [(c.status, c.peak_rss_mb) for c in cells] == [("cached", None)] * 3
 
     def test_manifest_keys_match_config_key(self):
         cfg = micro_cfg()

@@ -459,6 +459,25 @@ class TestServeApi:
         (cell,) = d.client.wait(r2.json()["id"], timeout_s=30)["cells"]
         assert (cell["status"], cell["queue_wait_s"]) == ("cached", None)
 
+    def test_cell_status_and_manifest_carry_the_workers_peak_rss(
+        self, daemon_factory
+    ):
+        d = daemon_factory(subdir="rss-store", workers=1)
+        r = d.client.submit([micro_cell(seed=970 + i) for i in range(3)])
+        final = d.client.wait(r.json()["id"], timeout_s=120)
+        peaks = [c["peak_rss_mb"] for c in final["cells"]]
+        # One persistent worker: its high-water mark, read as each cell
+        # ended, can only grow -- and a Python process is never < 5 MB.
+        assert peaks == sorted(peaks) and peaks[0] > 5.0
+        manifest = RunManifest.load(
+            d.service._manifest_path(r.json()["id"])
+        )
+        assert [c.peak_rss_mb for c in manifest.cells] == peaks
+        # A cached cell ran in no worker.
+        r2 = d.client.submit([micro_cell(seed=970)])
+        (cell,) = d.client.wait(r2.json()["id"], timeout_s=30)["cells"]
+        assert (cell["status"], cell["peak_rss_mb"]) == ("cached", None)
+
     def test_manifests_are_flushed_once_and_only_when_changed(
         self, daemon_factory, monkeypatch
     ):
