@@ -74,7 +74,10 @@ class HcaCC:
     # -- queries used by traffic generators -----------------------------
     def next_allowed(self, flow: FlowKey, sl: int = 0) -> float:
         """Earliest virtual time the next packet of ``flow`` may inject."""
-        state = self._states.get(self._key(flow, sl))
+        states = self._states
+        if not states:  # no BECN yet: nothing to look up
+            return 0.0
+        state = states.get(self._key(flow, sl))
         if state is None or state.ccti <= 0:
             return 0.0
         return state.next_time
@@ -100,7 +103,10 @@ class HcaCC:
     # -- event hooks -------------------------------------------------
     def on_inject(self, pkt: Packet) -> None:
         """Track the flow's IRD horizon as a packet enters the obuf."""
-        state = self._states.get(self._key(pkt.flow, pkt.sl))
+        states = self._states
+        if not states:  # no BECN yet: nothing to look up
+            return
+        state = states.get(self._key(pkt.flow, pkt.sl))
         if state is None or state.ccti <= 0:
             return
         ser = pkt.wire_size * self._byte_time

@@ -85,7 +85,10 @@ class SwitchCC:
         if params.threshold == 0:
             return
         vl = pkt.vl
-        if not self.in_congestion_state(port_index, vl, credits_after, pkt.wire_size):
+        # in_congestion_state(), inline: over threshold, and root or masked.
+        if self.switch.arbiters[port_index].queued_bytes[vl] <= self.threshold_bytes:
+            return
+        if not self.victim_mask[port_index] and credits_after < pkt.wire_size:
             return
         if pkt.payload < params.packet_size:
             return

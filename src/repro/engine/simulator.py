@@ -108,7 +108,7 @@ class Simulator:
 
         Returns an event id usable with :meth:`cancel`.
         """
-        if delay < 0:
+        if not delay >= 0:  # negative, or NaN (which would corrupt the heap)
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
@@ -121,7 +121,7 @@ class Simulator:
 
     def schedule_at(self, time: float, fn: Callable, arg: Any = None) -> int:
         """Schedule ``fn(arg)`` at absolute virtual time ``time`` ns."""
-        if time < self.now:
+        if not time >= self.now:  # in the past, or NaN
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
             )

@@ -25,6 +25,7 @@ from collections import deque
 from typing import List
 
 from repro.network.packet import Packet
+from repro.network.ports import vl_rotations
 
 
 class VLArbiter:
@@ -35,7 +36,11 @@ class VLArbiter:
         "out_index",
         "n_vls",
         "queued_bytes",
+        "_out",
+        "_inputs",
         "_active",
+        "_live",
+        "_vl_order",
         "_rr_vl",
         "_kicking",
         "grants",
@@ -46,9 +51,16 @@ class VLArbiter:
         self.out_index = out_index
         self.n_vls = n_vls
         self.queued_bytes: List[int] = [0] * n_vls
+        # The switch builds its ports first and never replaces them
+        # (degradation swaps a port's LinkConfig, not the port).
+        self._out = switch.output_ports[out_index]
+        self._inputs = switch.input_ports
         # Per VL: rotation order of the input ports that hold a VoQ for
         # this output (VoQs exist only while non-empty: module doc).
         self._active: List[deque] = [deque() for _ in range(n_vls)]
+        # Entries across all rotations: kick() has work only while > 0.
+        self._live = 0
+        self._vl_order = vl_rotations(n_vls)
         self._rr_vl = 0
         self._kicking = False
         self.grants = 0
@@ -61,53 +73,57 @@ class VLArbiter:
         self.queued_bytes[vl] += pkt.wire_size
         if opened:
             self._active[vl].append(in_port)
-        self.kick()
+            self._live += 1
+        if not self._kicking:
+            self.kick()
 
     def kick(self) -> None:
         """Grant as many packets as output-buffer space allows.
 
         Re-entrant calls (the output port's ``on_space`` firing while a
-        grant is in progress) are coalesced into the running loop.
+        grant is in progress) are coalesced into the running loop. Each
+        pass scans the VLs round-robin from ``_rr_vl``, which moves to
+        the granted VL + 1 and stays put when nothing can be granted.
         """
-        if self._kicking:
+        if self._kicking or not self._live:
             return
+        # No try/finally around the flag: an exception below leaves a
+        # granted packet in neither queue, so the fabric is unusable
+        # either way and the error propagates out of Simulator.run.
         self._kicking = True
-        try:
-            out_index = self.out_index
-            out = self.switch.output_ports[out_index]
-            inputs = self.switch.input_ports
-            n_vls = self.n_vls
-            base = out_index * n_vls
-            active = self._active
-            queued_bytes = self.queued_bytes
-            capacity = out.capacity
-            while True:
-                granted = False
-                for _ in range(n_vls):
-                    vl = self._rr_vl
-                    self._rr_vl = vl + 1 if vl + 1 < n_vls else 0
-                    act = active[vl]
-                    if not act:
-                        continue
-                    inp = inputs[act[0]]
-                    voq = inp.voqs[base + vl]
-                    wire = voq[0].wire_size
-                    if out.queue_bytes + wire > capacity:
-                        continue
-                    pkt = inp.grant(out_index, vl)
-                    queued_bytes[vl] -= wire
-                    self.grants += 1
-                    if voq:
-                        act.rotate(-1)  # fair round robin
-                    else:
-                        act.popleft()  # drained: grant() dropped the VoQ
-                    out.enqueue(pkt)
-                    granted = True
-                    break
-                if not granted:
-                    return
-        finally:
-            self._kicking = False
+        out_index = self.out_index
+        out = self._out
+        inputs = self._inputs
+        n_vls = self.n_vls
+        base = out_index * n_vls
+        active = self._active
+        queued_bytes = self.queued_bytes
+        capacity = out.capacity
+        vl_order = self._vl_order
+        while self._live:
+            for vl in vl_order[self._rr_vl]:
+                act = active[vl]
+                if not act:
+                    continue
+                inp = inputs[act[0]]
+                voq = inp.voqs[base + vl]
+                wire = voq[0].wire_size
+                if out.queue_bytes + wire > capacity:
+                    continue
+                pkt = inp.grant(out_index, vl)
+                queued_bytes[vl] -= wire
+                self.grants += 1
+                if voq:
+                    act.rotate(-1)  # fair round robin
+                else:
+                    act.popleft()  # drained: grant() dropped the VoQ
+                    self._live -= 1
+                self._rr_vl = vl + 1 if vl + 1 < n_vls else 0
+                out.enqueue(pkt)
+                break
+            else:
+                break  # no head packet fits the output buffer now
+        self._kicking = False
 
     def feeders(self, vl: int) -> List[int]:
         """Input ports holding packets for this output Port VL, ascending."""

@@ -243,14 +243,22 @@ class Hca:
                 return
         self._pulling = True
         try:
-            if self._wake_id is not None:
-                self.sim.cancel(self._wake_id)
-                self._wake_id = None
             sim = self.sim
+            if self._wake_id is not None:
+                sim.cancel(self._wake_id)
+                self._wake_id = None
+            # One event, one instant: nothing below advances the clock
+            # or swaps a hook, so each is read once per call.
+            now = sim.now
             obuf = self.obuf
             gen = self.gen
             tr = self.transport
-            while obuf.has_space(self._max_wire):
+            cc = self.cc
+            metrics = self.metrics
+            trace = self.trace
+            # Fill level up to which one more full-size packet fits.
+            room = obuf.capacity - self._max_wire
+            while obuf.queue_bytes <= room:
                 if tr is not None and tr.retx_queue:
                     pkt = tr.next_retx()
                     if pkt is not None:
@@ -261,7 +269,7 @@ class Hca:
                         continue
                 if gen is None:
                     return
-                pkt, t_next = gen.next_packet(sim.now)
+                pkt, t_next = gen.next_packet(now)
                 if pkt is None:
                     if t_next is not None:
                         self._wake_id = sim.schedule_at(t_next, self._on_wake)
@@ -269,13 +277,13 @@ class Hca:
                 if tr is not None and not tr.register(pkt):
                     release(pkt)
                     continue  # FAILED flow: discarded at the source
-                pkt.t_inject = sim.now
-                if self.cc is not None and not (pkt.flags & FLAG_CONTROL):
-                    self.cc.on_inject(pkt)
-                if self.metrics is not None:
-                    self.metrics.record_tx(self.node_id, pkt, sim.now)
-                if self.trace is not None:
-                    self.trace.inject(sim.now, self.node_id, pkt.dst, pkt.vl, pkt.payload)
+                pkt.t_inject = now
+                if cc is not None and not (pkt.flags & FLAG_CONTROL):
+                    cc.on_inject(pkt)
+                if metrics is not None:
+                    metrics.record_tx(self.node_id, pkt, now)
+                if trace is not None:
+                    trace.inject(now, self.node_id, pkt.dst, pkt.vl, pkt.payload)
                 obuf.enqueue(pkt)
         finally:
             self._pulling = False

@@ -32,10 +32,19 @@ to make once per hop, and ``pop(0)`` on it stays tens of nanoseconds.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, List, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.simulator import Simulator
 from repro.network.packet import FLAG_CONTROL, FLAG_FECN, Packet, release
+
+
+@lru_cache(maxsize=None)
+def vl_rotations(n_vls: int) -> Tuple[Tuple[int, ...], ...]:
+    """``vl_rotations(n)[r]``: the VLs in round-robin scan order from ``r``."""
+    return tuple(
+        tuple(range(r, n_vls)) + tuple(range(r)) for r in range(n_vls)
+    )
 
 
 class LinkConfig:
@@ -101,6 +110,7 @@ class OutputPort:
         "_lost_credits",
         "_rr_vl",
         "_n_vls",
+        "_vl_order",
         "_byte_time",
         "_prop_delay",
         "_schedule",
@@ -152,6 +162,7 @@ class OutputPort:
         self._lost_credits: List[float] = [0.0] * n_vls
         self._rr_vl = 0
         self._n_vls = n_vls
+        self._vl_order = vl_rotations(n_vls)
         # Hot-path caches: the transmit loop runs once per packet per
         # hop, so the link timings are flattened to port attributes and
         # refreshed by the ``link`` setter (runtime degradation).
@@ -201,7 +212,9 @@ class OutputPort:
 
         ``front=True`` gives head-of-queue priority within the VL (used
         only for CNPs at the source HCA, mirroring hardware that
-        expedites notifications).
+        expedites notifications). Packets occupy wire (``wire_size > 0``):
+        a non-zero ``queue_bytes`` is how the port knows a queue is not
+        empty.
         """
         q = self.queues[pkt.vl]
         if front:
@@ -209,14 +222,14 @@ class OutputPort:
         else:
             q.append(pkt)
         self.queue_bytes += pkt.wire_size
-        if not self.busy:
+        if not (self.busy or self.halted):
             self.try_send()
 
     def on_credit(self, arg) -> None:
         """Credit return from downstream: ``arg = (vl, nbytes)``."""
         vl, nbytes = arg
         self.credits[vl] += nbytes
-        if not self.busy:
+        if self.queue_bytes and not (self.busy or self.halted):
             self.try_send()
 
     def try_send(self) -> None:
@@ -224,33 +237,29 @@ class OutputPort:
 
         Picks the next VL (round robin from the last served VL) whose
         head packet fits its credits; a credit-starved VL never blocks
-        the others.
+        the others. The port's own callers (:meth:`enqueue`,
+        :meth:`on_credit`, ``_tx_done``) ask only when the port is idle,
+        up, and holds bytes, so nearly every entry transmits.
         """
         if self.busy or self.halted:
             return
         queues = self.queues
         credits = self.credits
-        pkt = None
         if self.vlarb is not None:
             vl = self.vlarb.select(queues, credits)
-            if vl is not None:
-                pkt = queues[vl].popleft()
+            if vl is None:
+                return
+            pkt = queues[vl].popleft()
         else:
-            n_vls = self._n_vls
-            rr = self._rr_vl
-            for i in range(n_vls):
-                vl = rr + i
-                if vl >= n_vls:
-                    vl -= n_vls
+            for vl in self._vl_order[self._rr_vl]:
                 q = queues[vl]
                 if q and credits[vl] >= q[0].wire_size:
                     pkt = q.popleft()
-                    self._rr_vl = vl + 1 if vl + 1 < n_vls else 0
+                    self._rr_vl = vl + 1 if vl + 1 < self._n_vls else 0
                     break
-        if pkt is None:
-            return
+            else:
+                return
         wire = pkt.wire_size
-        vl = pkt.vl
         self.queue_bytes -= wire
         cr = credits[vl] - wire
         credits[vl] = cr
@@ -265,7 +274,7 @@ class OutputPort:
             trace.tx(
                 self.sim.now, self.trace_kind, self.trace_node,
                 self.port_index, vl, pkt.src, pkt.dst, wire,
-                1 if pkt.flags & FLAG_FECN else 0, credits[vl],
+                1 if pkt.flags & FLAG_FECN else 0, cr,
             )
         self._schedule(wire * self._byte_time, self._on_tx_done, pkt)
         if self.on_space is not None:
@@ -277,7 +286,8 @@ class OutputPort:
             self._drop(pkt)
         else:
             self._schedule(self._prop_delay, self._peer_deliver, pkt)
-        self.try_send()
+        if self.queue_bytes and not self.halted:
+            self.try_send()
 
     # -- fault injection (repro.faults) ---------------------------------
     def _drop(self, pkt: Packet) -> None:
@@ -337,6 +347,7 @@ class SwitchInputPort:
     __slots__ = (
         "sim",
         "switch",
+        "arbiters",
         "port_id",
         "capacity",
         "occupancy",
@@ -361,6 +372,8 @@ class SwitchInputPort:
     ) -> None:
         self.sim = sim
         self.switch = switch
+        # The switch's per-output arbiter list, set by Switch once built.
+        self.arbiters: Sequence = ()
         self.port_id = port_id
         self.capacity = capacity
         self.occupancy: List[int] = [0] * n_vls
@@ -421,7 +434,7 @@ class SwitchInputPort:
             voqs[slot] = [pkt]
         else:
             voq.append(pkt)
-        self.switch.arbiters[out].on_packet_queued(self.port_id, vl, pkt, opened)
+        self.arbiters[out].on_packet_queued(self.port_id, vl, pkt, opened)
 
     def grant(self, out_port: int, vl: int) -> Packet:
         """Arbiter callback: move the VoQ head into the crossbar.

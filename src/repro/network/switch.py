@@ -77,6 +77,8 @@ class Switch:
         ]
         for i, out in enumerate(self.output_ports):
             out.on_space = self.arbiters[i].kick
+        for ip in self.input_ports:
+            ip.arbiters = self.arbiters
         self.lft: Optional[Sequence[int]] = None
         self.cc = None  # SwitchCC, installed by the CC manager
         self._router = None  # optional routing strategy (e.g. adaptive)

@@ -19,6 +19,8 @@ paper, and unsent requests expire with t).
 
 from __future__ import annotations
 
+from math import inf
+
 
 class TokenBudget:
     """Leaky-bucket rate limiter.
@@ -59,16 +61,24 @@ class TokenBudget:
 
     def eligible_time(self, now: float, nbytes: int) -> float:
         """Earliest time a charge of ``nbytes`` is within the budget."""
-        if self.rate <= 0.0:
-            return float("inf")
-        if nbytes > self.burst:
+        rate = self.rate
+        if rate <= 0.0:
+            return inf
+        burst = self.burst
+        if nbytes > burst:
             raise ValueError(
-                f"charge of {nbytes} B exceeds bucket depth {self.burst} B"
+                f"charge of {nbytes} B exceeds bucket depth {burst} B"
             )
-        self._advance(now)
-        if self.tokens >= nbytes:
+        tokens = self.tokens
+        if now > self.last:  # _advance(), in place
+            tokens += rate * (now - self.last)
+            if tokens > burst:
+                tokens = burst
+            self.tokens = tokens
+            self.last = now
+        if tokens >= nbytes:
             return now
-        return now + (nbytes - self.tokens) / self.rate
+        return now + (nbytes - tokens) / rate
 
     def charge(self, now: float, nbytes: int) -> None:
         """Consume ``nbytes`` of budget (caller checked eligibility)."""

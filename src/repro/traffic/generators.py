@@ -23,6 +23,7 @@ C nodes are ``p = 1``; V nodes are ``p = 0``.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -111,9 +112,7 @@ class BNodeSource:
         return d if d < self.node_id else d + 1
 
     def _resolve_dst(self, stream: int) -> Optional[int]:
-        """Destination of the stream's next packet, None if unavailable."""
-        if self._msg_remaining[stream]:
-            return self._msg_dst[stream]
+        """Destination of the stream's next message, None if unavailable."""
         if stream == _HS:
             hs = self.hotspot()
             # Stale pre-draws after a hotspot move are replaced; a node
@@ -133,18 +132,24 @@ class BNodeSource:
         ``(None, None)`` means nothing will become eligible without an
         external kick (e.g. both streams disabled or hotspot == self).
         """
-        cc = self.hca.cc if self.hca is not None else None
-        tr = self.hca.transport if self.hca is not None else None
-        best_t = float("inf")
+        hca = self.hca
+        if hca is not None:
+            cc = hca.cc
+            tr = hca.transport
+        else:
+            cc = tr = None
+        best_t = inf
         ready_hs = ready_uni = False
-        t = 0.0
         for stream in (_HS, _UNI):
             budget = self.budgets[stream]
-            if not budget.enabled:
+            if budget.rate <= 0.0:  # stream disabled (TokenBudget.enabled)
                 continue
-            dst = self._resolve_dst(stream)
-            if dst is None:
-                continue
+            if self._msg_remaining[stream]:
+                dst = self._msg_dst[stream]  # mid-message: destination fixed
+            else:
+                dst = self._resolve_dst(stream)
+                if dst is None:
+                    continue
             if tr is not None and not tr.can_send(dst):
                 # In-flight window full: the stream resumes on the kick
                 # the next cumulative ack (or flow failure) delivers.
@@ -169,7 +174,7 @@ class BNodeSource:
         elif ready_uni:
             stream = _UNI
         else:
-            return (None, best_t if best_t != float("inf") else None)
+            return (None, best_t if best_t != inf else None)
         return (self._emit(stream, now), None)
 
     def _emit(self, stream: int, now: float) -> Packet:

@@ -68,6 +68,24 @@ class TestSchedulingEdges:
         sim.run()
         assert sim.events_executed == 2
 
+    @pytest.mark.parametrize("scheduler", ["heapq", "calendar"])
+    def test_nan_time_is_rejected_and_strands_nothing(self, scheduler):
+        # ``nan < 0`` is false, so a ``delay < 0`` guard let NaN through;
+        # a NaN key then broke the heap invariant silently: this sequence
+        # fired b, c and stranded a.
+        sim = Simulator(scheduler=scheduler)
+        fired = []
+        sim.schedule(5.0, fired.append, "a")
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), fired.append, "x")
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), fired.append, "y")
+        sim.schedule(1.0, fired.append, "b")
+        sim.schedule(3.0, fired.append, "c")
+        sim.run(until=10.0)
+        assert fired == ["b", "c", "a"]
+        assert sim.pending == 0
+
 
 class TestRngEdges:
     def test_tuple_like_keys_distinct(self):

@@ -101,3 +101,55 @@ class TestBudgetProperties:
         b.charge(0.0, n)
         b.eligible_time(1e9, 64)  # force refill far in the future
         assert b.tokens <= 4096.0
+
+
+def parent_eligible_time(b: TokenBudget, now: float, nbytes: int) -> float:
+    """``eligible_time`` as it was before ISSUE 21 folded ``_advance``
+    into it: the reference the in-place version must match to the bit."""
+    if b.rate <= 0.0:
+        return float("inf")
+    if nbytes > b.burst:
+        raise ValueError("charge exceeds bucket depth")
+    b._advance(now)
+    if b.tokens >= nbytes:
+        return now
+    return now + (nbytes - b.tokens) / b.rate
+
+
+class TestEligibleTimeInPlace:
+    @given(
+        rate=st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=40.0)),
+        burst=st.integers(min_value=64, max_value=8192),
+        walk=st.lists(
+            st.tuples(
+                # Clock step: backwards and zero (now <= last) as well
+                # as long idles that hit the cap at ``burst``.
+                st.one_of(
+                    st.just(0.0),
+                    st.floats(min_value=-500.0, max_value=5e3),
+                    st.floats(min_value=1e5, max_value=1e7),
+                ),
+                st.integers(min_value=1, max_value=8192),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_advance_then_compute(self, rate, burst, walk):
+        new = TokenBudget(rate, burst, start_ns=100.0)
+        old = TokenBudget(rate, burst, start_ns=100.0)
+        now = 100.0
+        for step, nbytes in walk:
+            now += step
+            if nbytes > burst and rate > 0.0:
+                with pytest.raises(ValueError):
+                    new.eligible_time(now, nbytes)
+                continue
+            t_new = new.eligible_time(now, nbytes)
+            t_old = parent_eligible_time(old, now, nbytes)
+            assert t_new.hex() == t_old.hex()
+            assert (new.tokens.hex(), new.last) == (old.tokens.hex(), old.last)
+            if t_new <= now:  # eligible: spend it, as the generator does
+                new.charge(now, nbytes)
+                old.charge(now, nbytes)
+        assert new.tokens <= new.burst
