@@ -7,9 +7,9 @@ agree by accident, event streams cannot. This package provides:
 * opt-in structured trace hooks across the engine/network/core layers
   (:mod:`repro.trace.tracer`, :mod:`repro.trace.records`) — packet
   injection/tx/rx, FECN marks, CNP/BECN, CCTI changes, recovery-timer
-  fires — emitted to a JSONL file, an in-memory ring buffer, or a
-  streaming digest (:mod:`repro.trace.sinks`,
-  :mod:`repro.trace.digest`);
+  fires — always folded into a streaming digest
+  (:mod:`repro.trace.digest`) and optionally kept in a JSONL file or an
+  in-memory ring buffer (:mod:`repro.trace.sinks`);
 * a :class:`~repro.trace.auditor.TraceAuditor` checking invariants
   online: event-time monotonicity, credit non-negativity, per-flow
   byte conservation, CCTI bounds, notification-flag consistency;
@@ -19,9 +19,9 @@ agree by accident, event streams cannot. This package provides:
   ``jobs=1`` and ``jobs=N`` campaigns can be proven event-equivalent.
 
 Tracing disabled costs one ``is not None`` branch per instrumented
-event (see ``benchmarks/test_bench_trace.py``). Enable it per run via
-``run_experiment(cfg, trace=TraceSpec(...))`` or per campaign via
-``run_fn=TracedRun(...)`` / the CLI's ``--trace``/``--trace-dir``.
+event; enabled, the benchmark's ``trace.on_off_ratio``. Enable it per
+run via ``run_experiment(cfg, trace=TraceSpec(...))`` or per campaign
+via ``run_fn=TracedRun(...)`` / the CLI's ``--trace``/``--trace-dir``.
 """
 
 from repro.trace.auditor import TraceAuditor, TraceViolation

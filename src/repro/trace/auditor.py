@@ -179,10 +179,11 @@ class TraceAuditor:
             # (tx, t, kind, node, port, vl, src, dst, wire, fecn, credit)
             if rec[10] < 0:
                 self._violate("negative credit after transmit", rec)
-            kind, node, port = rec[2], rec[3], rec[4]
-            if (kind, node, port) in self._down_ports:
+            # Both sets are empty on a fault-free run: test, don't build.
+            if self._down_ports and rec[2:5] in self._down_ports:
                 self._violate("transmission on a downed link", rec)
-            if kind == "s" and node in self._paused_switches:
+            paused = self._paused_switches
+            if paused and rec[2] == "s" and rec[3] in paused:
                 self._violate("transmission from a paused switch", rec)
         elif etype == EV_RX:
             # (rx, t, node, src, dst, vl, payload, fecn, becn, ctrl)

@@ -1,7 +1,7 @@
 """Streaming trace digests.
 
-The digest of a trace is the SHA-256 of its canonical record lines
-(each line terminated by ``\\n``), truncated to 16 hex characters —
+The digest of a trace is the SHA-256 of its records in the encoding
+:mod:`repro.trace.records` defines, truncated to 16 hex characters —
 long enough that an accidental collision across a test suite's worth
 of runs is implausible, short enough to read in a manifest diff.
 
@@ -14,59 +14,64 @@ accident; half a million interleaved packet events cannot.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
-from typing import Iterable
+import pickle
+from typing import Iterable, List
 
 from repro.trace.records import TraceRecord
 
 DIGEST_HEX_CHARS = 16
 
+#: Records per hashed chunk; part of the encoding.
+CHUNK_RECORDS = 1024
+
+
+def _encode(chunk: List[TraceRecord]) -> memoryview:
+    """A protocol-5 pickle of the chunk, memo off: values only, no ids."""
+    out = io.BytesIO()
+    pickler = pickle.Pickler(out, protocol=5)
+    pickler.fast = True
+    pickler.dump(chunk)
+    return out.getbuffer()
+
 
 class DigestSink:
-    """Incrementally hash the canonical record stream.
+    """Incrementally hash a record stream, one full chunk at a time.
 
-    Lines are buffered and folded into the hash in large chunks: the
-    digest is a property of the *byte stream*, and SHA-256 is invariant
-    under update() chunking, so batching changes cost, never the value.
-    A traced quick cell emits ~1M records; batching replaces two hash
-    updates and an encode per record with list appends plus one
-    join+encode+update per few thousand records.
+    The :class:`~repro.trace.tracer.Tracer` appends to :attr:`buf` and
+    calls :meth:`fold` itself; :meth:`write` does both for other callers.
     """
 
-    __slots__ = ("_hash", "_buf", "records_hashed")
-
-    #: Buffered line fragments (records + newlines) between hash folds.
-    _FLUSH_AT = 8192
+    __slots__ = ("_hash", "_chunks", "buf")
 
     def __init__(self) -> None:
         self._hash = hashlib.sha256()
-        self._buf: list = []
-        self.records_hashed = 0
+        self._chunks = 0
+        self.buf: List[TraceRecord] = []
 
     def write(self, rec: TraceRecord) -> None:
         """Fold one record into the digest (buffered)."""
-        buf = self._buf
-        # repr() IS canonical_line(); inlined for the per-record path.
-        buf.append(repr(rec))
-        buf.append("\n")
-        self.records_hashed += 1
-        if len(buf) >= self._FLUSH_AT:
-            self._hash.update("".join(buf).encode())
-            buf.clear()
+        self.buf.append(rec)
+        if len(self.buf) >= CHUNK_RECORDS:
+            self.fold()
 
-    def _flush(self) -> None:
-        if self._buf:
-            self._hash.update("".join(self._buf).encode())
-            self._buf.clear()
+    def fold(self) -> None:
+        """Hash the full chunk in :attr:`buf` and empty it."""
+        self._hash.update(_encode(self.buf))
+        self.buf.clear()
+        self._chunks += 1
 
-    def close(self) -> None:
-        """Sinks share a close() protocol; fold any buffered tail."""
-        self._flush()
+    @property
+    def records_hashed(self) -> int:
+        return self._chunks * CHUNK_RECORDS + len(self.buf)
 
     def hexdigest(self) -> str:
-        """Digest of everything written so far (does not finalize)."""
-        self._flush()
-        return self._hash.hexdigest()[:DIGEST_HEX_CHARS]
+        """Digest of everything written so far; more may follow."""
+        h = self._hash.copy()
+        if self.buf:
+            h.update(_encode(self.buf))
+        return h.hexdigest()[:DIGEST_HEX_CHARS]
 
 
 def digest_of_records(records: Iterable[TraceRecord]) -> str:
@@ -80,16 +85,14 @@ def digest_of_records(records: Iterable[TraceRecord]) -> str:
 def digest_of_jsonl(path: str) -> str:
     """Recompute a run's digest from its JSONL trace file.
 
-    The JSONL array form round-trips losslessly to the canonical tuple
-    form (ints stay ints, floats reparse to the identical value), so
-    this reproduces exactly the digest the original run reported —
-    letting a saved trace be verified independently of the simulator.
+    The JSONL array form round-trips losslessly to the record tuples
+    (ints stay ints, floats reparse to the identical value), so this
+    reproduces exactly the digest the original run reported — letting
+    a saved trace be verified independently of the simulator.
     """
     sink = DigestSink()
     with open(path) as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            sink.write(tuple(json.loads(line)))
+            if line.strip():
+                sink.write(tuple(json.loads(line)))
     return sink.hexdigest()

@@ -69,11 +69,13 @@ tag       fields after ``(tag, t, ...)``
           simulator's executed-event count
 ========  ==============================================================
 
-The canonical encoding of a record is ``repr()`` of its tuple — stable
-across runs and Python versions (ints render exactly; floats use the
-shortest-roundtrip repr). The JSONL form is the JSON array of the same
-fields, which round-trips losslessly back to the canonical form (see
-:func:`repro.trace.digest.digest_of_jsonl`).
+The canonical encoding is binary and value-exact: each chunk of
+:data:`~repro.trace.digest.CHUNK_RECORDS` records is a protocol-5
+``pickle`` of the tuple list, memo off, so ``1`` and ``1.0`` or ``0.0``
+and ``-0.0`` stay apart and equal strings encode alike, shared or not.
+Digests of the earlier ``repr()``-line encoding are not comparable.
+The JSONL form is the JSON array of the same fields and round-trips
+losslessly to the tuples (:func:`repro.trace.digest.digest_of_jsonl`).
 """
 
 from __future__ import annotations
@@ -121,5 +123,5 @@ ALL_EVENTS = (
 
 
 def canonical_line(rec: TraceRecord) -> str:
-    """The canonical single-line encoding of one record."""
+    """One record as a readable line (violation messages; not hashed)."""
     return repr(rec)

@@ -25,7 +25,6 @@ from typing import Any, List, Optional
 
 from repro.trace.auditor import TraceAuditor
 from repro.trace.records import TraceRecord
-from repro.trace.digest import DigestSink
 from repro.trace.sinks import JsonlSink, RingBufferSink
 from repro.trace.tracer import Tracer
 
@@ -56,13 +55,11 @@ class TraceSession:
         *,
         jsonl_path: Optional[str] = None,
         ring: int = 0,
-        digest: bool = True,
         audit: bool = True,
         ccti_limit: int = 127,
         strict: bool = False,
         min_retx_gap_ns: Optional[float] = None,
     ) -> None:
-        self._digest_sink = DigestSink() if digest else None
         self._jsonl = JsonlSink(jsonl_path) if jsonl_path else None
         self._ring = RingBufferSink(ring) if ring else None
         # min_retx_gap_ns (the run's TransportConfig.min_retx_gap_ns)
@@ -77,7 +74,7 @@ class TraceSession:
             if audit
             else None
         )
-        sinks = [s for s in (self._digest_sink, self._jsonl, self._ring) if s is not None]
+        sinks = [s for s in (self._jsonl, self._ring) if s is not None]
         self.tracer = Tracer(sinks, auditor=self.auditor)
         # Installed components (engine/network/core layers); Any avoids
         # a trace -> network import cycle.
@@ -138,9 +135,9 @@ class TraceSession:
 
     # -- results -------------------------------------------------------
     @property
-    def digest(self) -> Optional[str]:
+    def digest(self) -> str:
         """The run's trace digest (stable across identical runs)."""
-        return self._digest_sink.hexdigest() if self._digest_sink else None
+        return self.tracer.digest.hexdigest()
 
     @property
     def violations(self) -> List[str]:

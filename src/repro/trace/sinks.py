@@ -1,8 +1,8 @@
 """Trace sinks: where emitted records go.
 
-Every sink implements ``write(rec)`` and ``close()``. The digest sink
-lives in :mod:`repro.trace.digest`; this module holds the storage
-sinks:
+Every sink implements ``write(rec)`` and ``close()``. The digest is
+not a sink: the :class:`~repro.trace.tracer.Tracer` feeds it itself
+(:mod:`repro.trace.digest`). This module holds the storage sinks:
 
 * :class:`RingBufferSink` — the last N records in memory, for
   interactive debugging and tests that inspect recent events;
