@@ -1,8 +1,9 @@
 """Discrete-event simulation kernel.
 
-The kernel is deliberately small and dependency-free: a binary-heap
-event queue keyed by ``(time, sequence)`` with callable handlers, plus
-deterministic random-number stream management built on
+The kernel is deliberately small and dependency-free: one binary-heap
+event queue keyed by ``(time, sequence)`` with callable handlers, so
+simultaneous events run in scheduling order, plus deterministic
+random-number stream management built on
 :class:`numpy.random.SeedSequence`.
 
 Time is measured in **nanoseconds** (floats). All network components
@@ -11,22 +12,10 @@ path performs only additions and comparisons.
 """
 
 from repro.engine.simulator import Simulator, SimulationError
-from repro.engine.scheduler import (
-    SCHEDULERS,
-    CalendarScheduler,
-    HeapScheduler,
-    make_scheduler,
-    scheduler_from_env,
-)
 from repro.engine.rng import RngRegistry
 
 __all__ = [
     "Simulator",
     "SimulationError",
     "RngRegistry",
-    "SCHEDULERS",
-    "HeapScheduler",
-    "CalendarScheduler",
-    "make_scheduler",
-    "scheduler_from_env",
 ]

@@ -8,13 +8,9 @@ deterministic for a fixed seed.
 
 Design notes (hot path):
 
-* events are plain tuples ``(time, seq, fn, arg)`` — no Event objects;
-* the pending-event structure is pluggable (:mod:`repro.engine.scheduler`):
-  the ``heapq`` reference implementation or the faster calendar queue,
-  selected per instance or via ``REPRO_SCHEDULER``. Both pop in the
-  identical ``(time, seq)`` order, so the choice never changes behavior
-  (golden digests are byte-identical — see
-  ``tests/test_scheduler_differential.py``);
+* events are plain tuples ``(time, seq, fn, arg)`` on a binary heap
+  (``heapq``); ``seq`` is unique, so tuple comparison never reaches
+  the callable;
 * cancellation is handled with a tombstone set keyed by sequence number
   rather than queue surgery (O(1) cancel, lazily discarded on pop);
 * the loop body avoids attribute lookups by binding locals.
@@ -23,9 +19,11 @@ Design notes (hot path):
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Set, Union
+from math import inf
+from typing import Any, Callable, List, Optional, Set, Tuple
 
-from repro.engine.scheduler import Entry, HeapScheduler, Scheduler, make_scheduler
+#: One pending event: ``(time, seq, fn, arg)``.
+Entry = Tuple[float, int, Callable, Any]
 
 
 class SimulationError(RuntimeError):
@@ -41,10 +39,6 @@ class Simulator:
         Optional safety valve — abort with :class:`SimulationError` if
         more than this many events are executed (guards against event
         storms caused by modelling bugs).
-    scheduler:
-        Pending-event structure: a registry name (``"heapq"`` |
-        ``"calendar"``), a prebuilt scheduler, or None to consult the
-        ``REPRO_SCHEDULER`` environment variable (default ``heapq``).
 
     Examples
     --------
@@ -62,8 +56,6 @@ class Simulator:
     __slots__ = (
         "now",
         "trace",
-        "_sched",
-        "_push",
         "_heap",
         "_seq",
         "_cancelled",
@@ -72,28 +64,14 @@ class Simulator:
         "_running",
     )
 
-    def __init__(
-        self,
-        max_events: Optional[int] = None,
-        *,
-        scheduler: Union[str, Scheduler, None] = None,
-    ) -> None:
+    def __init__(self, max_events: Optional[int] = None) -> None:
         self.now: float = 0.0
         # Tracing handle (repro.trace.Tracer) or None. Held here so any
         # component can reach the active tracer through its simulator;
         # the event loop itself never touches it. Typed Any to avoid an
         # engine -> trace import cycle.
         self.trace: Optional[Any] = None
-        self._sched: Scheduler = make_scheduler(scheduler)
-        # Bound once: scheduling is the second-hottest call in a run.
-        self._push = self._sched.push
-        # Heap fast path: when the reference scheduler backs the queue,
-        # schedule()/run() use heappush/heappop on its list directly —
-        # pluggability must not tax the default configuration with an
-        # extra Python call per event (~1.5M per quick cell).
-        self._heap: Optional[List[Entry]] = (
-            self._sched._heap if type(self._sched) is HeapScheduler else None
-        )
+        self._heap: List[Entry] = []
         self._seq: int = 0
         self._cancelled: Set[int] = set()
         self._events_executed: int = 0
@@ -112,11 +90,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        heap = self._heap
-        if heap is not None:
-            heappush(heap, (self.now + delay, seq, fn, arg))
-        else:
-            self._push(self.now + delay, seq, fn, arg)
+        heappush(self._heap, (self.now + delay, seq, fn, arg))
         return seq
 
     def schedule_at(self, time: float, fn: Callable, arg: Any = None) -> int:
@@ -127,11 +101,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        heap = self._heap
-        if heap is not None:
-            heappush(heap, (time, seq, fn, arg))
-        else:
-            self._push(time, seq, fn, arg)
+        heappush(self._heap, (time, seq, fn, arg))
         return seq
 
     def cancel(self, event_id: int) -> None:
@@ -151,17 +121,15 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        heap = self._heap
         cancelled = self._cancelled
-        pop = self._sched.pop
         max_events = self._max_events
         executed = self._events_executed
-        heap = self._heap
+        horizon = inf if until is None else until
         try:
-            if max_events is None and heap is not None and until is not None:
-                # Hottest case: heap-backed queue, bounded horizon, no
-                # event budget. The heap is popped inline — one C call
-                # per event, no per-event None checks.
-                while heap and heap[0][0] <= until:
+            if max_events is None:
+                # The common case: no event budget to check per event.
+                while heap and heap[0][0] <= horizon:
                     time, seq, fn, arg = heappop(heap)
                     if cancelled and seq in cancelled:
                         cancelled.discard(seq)
@@ -172,28 +140,9 @@ class Simulator:
                         fn()
                     else:
                         fn(arg)
-            elif max_events is None:
-                # No event budget — keep the loop minimal.
-                while True:
-                    entry = pop(until)
-                    if entry is None:
-                        break
-                    time, seq, fn, arg = entry
-                    if cancelled and seq in cancelled:
-                        cancelled.discard(seq)
-                        continue
-                    self.now = time
-                    executed += 1
-                    if arg is None:
-                        fn()
-                    else:
-                        fn(arg)
             else:
-                while True:
-                    entry = pop(until)
-                    if entry is None:
-                        break
-                    time, seq, fn, arg = entry
+                while heap and heap[0][0] <= horizon:
+                    time, seq, fn, arg = heappop(heap)
                     if cancelled and seq in cancelled:
                         cancelled.discard(seq)
                         continue
@@ -215,13 +164,10 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute a single pending event. Returns False if none remain."""
+        heap = self._heap
         cancelled = self._cancelled
-        pop = self._sched.pop
-        while True:
-            entry = pop(None)
-            if entry is None:
-                return False
-            time, seq, fn, arg = entry
+        while heap:
+            time, seq, fn, arg = heappop(heap)
             if seq in cancelled:
                 cancelled.discard(seq)
                 continue
@@ -232,19 +178,15 @@ class Simulator:
             else:
                 fn(arg)
             return True
+        return False
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     @property
-    def scheduler_name(self) -> str:
-        """Name of the active pending-event structure."""
-        return self._sched.name
-
-    @property
     def pending(self) -> int:
         """Number of events still queued (including cancelled tombstones)."""
-        return len(self._sched)
+        return len(self._heap)
 
     @property
     def events_executed(self) -> int:
@@ -253,14 +195,11 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Virtual time of the next live event, or None if queue empty."""
-        sched = self._sched
+        heap = self._heap
         cancelled = self._cancelled
-        while True:
-            entry = sched.peek()
-            if entry is None:
-                return None
-            if cancelled and entry[1] in cancelled:
-                cancelled.discard(entry[1])
-                sched.pop(None)
+        while heap:
+            if cancelled and heap[0][1] in cancelled:
+                cancelled.discard(heappop(heap)[1])
                 continue
-            return entry[0]
+            return heap[0][0]
+        return None

@@ -186,17 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--scheduler",
-        choices=["heapq", "calendar"],
-        default=None,
-        help=(
-            "event-queue implementation for the simulation kernel "
-            "(default: the REPRO_SCHEDULER environment variable, else "
-            "heapq). A pure performance knob: both choices produce "
-            "byte-identical event streams and share cache entries"
-        ),
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
@@ -415,13 +404,6 @@ def main(argv=None) -> int:
         return serve_main(argv[1:])
     args = build_parser().parse_args(argv)
     scale = SCALES[args.scale]
-    if args.scheduler is not None:
-        # Exported rather than threaded through every driver: worker
-        # processes inherit the environment, so --jobs>1 cells pick the
-        # same kernel.
-        from repro.engine.scheduler import ENV_SCHEDULER
-
-        os.environ[ENV_SCHEDULER] = args.scheduler
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2

@@ -20,7 +20,6 @@ from repro.metrics.analysis import group_rates, jain_fairness, tmax_gbps
 from repro.metrics.collector import Collector
 from repro.network.hca import HcaConfig
 from repro.network.network import Network, NetworkConfig
-from repro.network.packet import sync_pool_env
 from repro.topology.fattree import three_stage_fat_tree
 from repro.trace.session import TraceSession, TraceSpec
 from repro.traffic.generators import BNodeSource
@@ -179,7 +178,6 @@ def run_experiment(
     metrics.
     """
     cfg.validate()
-    sync_pool_env()  # honor REPRO_PACKET_POOL, like REPRO_SCHEDULER below
     topo = three_stage_fat_tree(cfg.scale.radix)
     n_hosts = topo.n_hosts
     sim_time = cfg.resolved_sim_time()

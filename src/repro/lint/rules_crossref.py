@@ -1,5 +1,5 @@
-"""Cross-file invariant rules: KEY001 (store-key drift), TRC001
-(trace-event coverage), and SCH001 (scheduler-registry drift).
+"""Cross-file invariant rules: KEY001 (store-key drift) and TRC001
+(trace-event coverage).
 
 Both rules cross-reference two ASTs instead of importing anything: the
 dataclass that *defines* a schema and the code that *consumes* it. The
@@ -188,101 +188,6 @@ def key001_store_key_drift(project: Project) -> Iterator[Finding]:
                 "config_key does not hash config_to_dict(cfg); the store "
                 "key no longer covers the full configuration",
             )
-
-
-def _schedulers_registry(f: SourceFile) -> Optional[Tuple[Set[str], int]]:
-    """String keys of a top-level ``SCHEDULERS = {...}`` dict literal."""
-    for node in f.tree.body:
-        if isinstance(node, ast.AnnAssign):
-            targets = [node.target] if isinstance(node.target, ast.Name) else []
-            value = node.value
-        elif isinstance(node, ast.Assign):
-            targets = [t for t in node.targets if isinstance(t, ast.Name)]
-            value = node.value
-        else:
-            continue
-        if not any(t.id == "SCHEDULERS" for t in targets):
-            continue
-        if not isinstance(value, ast.Dict):
-            return None
-        keys = {
-            k.value for k in value.keys
-            if isinstance(k, ast.Constant) and isinstance(k.value, str)
-        }
-        return keys, node.lineno
-    return None
-
-
-def _cli_scheduler_choices(f: SourceFile) -> Optional[Tuple[Set[str], int]]:
-    """Literal ``choices`` of an ``add_argument("--scheduler", ...)``."""
-    for node in ast.walk(f.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "add_argument"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and node.args[0].value == "--scheduler"
-        ):
-            continue
-        for kw in node.keywords:
-            if kw.arg == "choices" and isinstance(kw.value, (ast.List, ast.Tuple)):
-                return {
-                    elt.value for elt in kw.value.elts
-                    if isinstance(elt, ast.Constant)
-                    and isinstance(elt.value, str)
-                }, node.lineno
-        return set(), node.lineno
-    return None
-
-
-@rule(
-    "SCH001",
-    severity=SEV_ERROR,
-    summary=(
-        "scheduler-registry drift: the SCHEDULERS registry and the CLI "
-        "--scheduler choices disagree"
-    ),
-)
-def sch001_scheduler_registry_drift(project: Project) -> Iterator[Finding]:
-    """Cross-reference the kernel registry with the CLI surface.
-
-    A scheduler registered in :data:`repro.engine.scheduler.SCHEDULERS`
-    but missing from the CLI's ``--scheduler`` choices is unreachable
-    from the command line; a CLI choice without a registry entry fails
-    at :func:`make_scheduler` time deep inside the first cell. Both
-    directions are drift the type system cannot catch, because the
-    linkage is an environment-variable string. Skips silently when
-    either file is outside the linted set.
-    """
-    registry = None
-    choices = None
-    for f in project.files:
-        if registry is None:
-            registry = _schedulers_registry(f)
-            if registry is not None:
-                registry_file = f
-        if choices is None:
-            choices = _cli_scheduler_choices(f)
-            if choices is not None:
-                choices_file = f
-    if registry is None or choices is None:
-        return
-    registry_keys, registry_line = registry
-    choice_keys, choices_line = choices
-    for name in sorted(registry_keys - choice_keys):
-        yield Finding(
-            "SCH001", SEV_ERROR, choices_file.path, choices_line, 0,
-            f"scheduler {name!r} (registered at {registry_file.path}:"
-            f"{registry_line}) is missing from the CLI --scheduler choices",
-        )
-    for name in sorted(choice_keys - registry_keys):
-        yield Finding(
-            "SCH001", SEV_ERROR, choices_file.path, choices_line, 0,
-            f"CLI --scheduler choice {name!r} has no entry in the "
-            f"SCHEDULERS registry ({registry_file.path}:{registry_line}); "
-            "selecting it raises at make_scheduler time",
-        )
 
 
 def _ev_constants(f: SourceFile) -> Dict[str, int]:

@@ -34,7 +34,6 @@ from repro.network.packet import (
     FLAG_CONTROL,
     FLAG_FECN,
     Packet,
-    release,
 )
 from repro.network.ports import LinkConfig, OutputPort
 
@@ -275,7 +274,6 @@ class Hca:
                         self._wake_id = sim.schedule_at(t_next, self._on_wake)
                     return
                 if tr is not None and not tr.register(pkt):
-                    release(pkt)
                     continue  # FAILED flow: discarded at the source
                 pkt.t_inject = now
                 if cc is not None and not (pkt.flags & FLAG_CONTROL):
@@ -307,7 +305,6 @@ class Hca:
         if tr is not None and not (flags & FLAG_CONTROL) and not tr.on_data(pkt):
             # Duplicate/out-of-order under the reliable transport:
             # discarded before the sink counts it as goodput.
-            release(pkt)
             return
         if self.metrics is not None:
             self.metrics.record_rx(self.node_id, pkt, self.sim.now)
@@ -320,31 +317,21 @@ class Hca:
             )
         if tr is not None and flags & FLAG_ACK:
             tr.on_ack(pkt)
-            release(pkt)
             return
-        # The sink is the end of the packet's life. Capture what the CC
-        # reactions below need, then return the object to the pool —
-        # kick()/send_cnp() may acquire fresh packets and must never see
-        # this one half-dead.
-        flow = pkt.flow
-        sl = pkt.sl
-        src = pkt.src
-        becn = flags & FLAG_BECN
-        fecn = (flags & FLAG_FECN) and not (flags & FLAG_CONTROL)
-        release(pkt)
-        if becn:
+        if flags & FLAG_BECN:
             self.becns_received += 1
             if self.cc is not None:
-                self.cc.on_becn(flow, sl)
+                self.cc.on_becn(pkt.flow, pkt.sl)
                 # Throttled flows may now be schedulable at a new time.
                 self.kick()
-        if fecn and self.cc is not None:
+        if flags & FLAG_FECN and not flags & FLAG_CONTROL and self.cc is not None:
             # BECNs ride acknowledgements in hardware, and ACKs are
             # coalesced: a burst of FECN-marked packets of one flow
             # yields far fewer notifications than marks. We model this
             # by rate-limiting CNPs per source to one per coalescing
             # window, which also damps the CCTI overshoot the raw
             # mark-per-packet feedback would cause (see DESIGN.md §3.7).
+            src = pkt.src
             last = self._last_cnp.get(src)
             if last is None or self.sim.now - last >= self.config.cnp_coalesce_ns:
                 self._last_cnp[src] = self.sim.now

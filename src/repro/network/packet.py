@@ -15,22 +15,13 @@ paper runs CC at the Queue Pair level with one active QP per
 communicating pair, so a flow key *is* the QP identity for our
 purposes.
 
-Hot-path design (ROADMAP item 1): packets are flyweights — ``__slots__``
-only, the four header bits packed into one ``flags`` int, and a
-process-local free list so the per-packet lifecycle on the simulation
-fast path is a field reset instead of an allocation. Components on the
-hot path create packets with :meth:`Packet.acquire` and hand them back
-with :func:`release` at end of life (the destination sink, a fault
-drop, a transport discard). Pooling is behavior-neutral — every field
-is reset on reuse, which the golden-digest suites pin by running
-pool-on and pool-off to byte-identical digests. Disable with
-``REPRO_PACKET_POOL=0`` (see :func:`sync_pool_env`).
+Packets are lean: ``__slots__`` only, with the four header bits
+packed into one ``flags`` int.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Tuple
+from typing import Tuple
 
 FlowKey = Tuple[int, int]
 
@@ -46,45 +37,6 @@ FLAG_FECN = 1
 FLAG_BECN = 2
 FLAG_CONTROL = 4
 FLAG_ACK = 8
-
-#: Environment variable gating the packet free list (default on).
-ENV_PACKET_POOL = "REPRO_PACKET_POOL"
-
-# Free list of released packets awaiting reuse. Bounded so a pathological
-# burst cannot pin memory; process-local, so pool state never crosses
-# the campaign executor's worker boundary.
-_POOL_LIMIT = 8192
-_pool: List["Packet"] = []
-_pool_enabled = True
-
-
-def packet_pool_enabled() -> bool:
-    """Whether released packets are recycled through the free list."""
-    return _pool_enabled
-
-
-def set_packet_pool(enabled: bool) -> None:
-    """Enable or disable the free list (disabling drops pooled packets)."""
-    global _pool_enabled
-    _pool_enabled = bool(enabled)
-    if not _pool_enabled:
-        _pool.clear()
-
-
-def sync_pool_env() -> bool:
-    """Refresh the pool gate from ``REPRO_PACKET_POOL`` (default on).
-
-    Called once per :func:`repro.experiments.runner.run_experiment` so
-    the knob behaves like ``REPRO_SCHEDULER``: set in the environment,
-    inherited by campaign workers, never part of a store key.
-    """
-    # Read once per run_experiment, never on the event path; pooling is
-    # proven digest-neutral, so the knob cannot alter results (and is
-    # deliberately not part of the store key).
-    # simlint: disable-next-line=DET103
-    raw = os.environ.get(ENV_PACKET_POOL, "").strip().lower()
-    set_packet_pool(raw not in ("0", "false", "off"))
-    return _pool_enabled
 
 
 class Packet:
@@ -166,43 +118,6 @@ class Packet:
         self.t_inject = -1.0
         self.psn = -1
 
-    @classmethod
-    def acquire(
-        cls,
-        src: int,
-        dst: int,
-        payload: int,
-        *,
-        header: int = DEFAULT_HEADER_BYTES,
-        vl: int = 0,
-        sl: int = 0,
-        msg_id: int = -1,
-    ) -> "Packet":
-        """A packet from the free list (or a fresh one), fully reset.
-
-        Semantically identical to the constructor; use on the hot path
-        and pair with :func:`release` at the packet's end of life.
-        """
-        if not _pool:
-            return cls(src, dst, payload, header=header, vl=vl, sl=sl, msg_id=msg_id)
-        if src == dst:
-            raise ValueError("a packet cannot be addressed to its own source")
-        if payload < 0:
-            raise ValueError("payload must be non-negative")
-        pkt = _pool.pop()
-        pkt.src = src
-        pkt.dst = dst
-        pkt.payload = payload
-        pkt.wire_size = payload + header
-        pkt.vl = vl
-        pkt.sl = sl
-        pkt.flow = (src, dst)
-        pkt.msg_id = msg_id
-        pkt.flags = 0
-        pkt.t_inject = -1.0
-        pkt.psn = -1
-        return pkt
-
     # -- int-packed header bits ----------------------------------------
     @property
     def fecn(self) -> bool:
@@ -258,7 +173,7 @@ class Packet:
         data-flow key ``(dst, src)`` so the receiver can index its CCT
         state directly.
         """
-        pkt = cls.acquire(src, dst, 0, header=CNP_WIRE_BYTES, vl=vl, sl=sl)
+        pkt = cls(src, dst, 0, header=CNP_WIRE_BYTES, vl=vl, sl=sl)
         pkt.flags = FLAG_BECN | FLAG_CONTROL
         pkt.flow = (dst, src)
         return pkt
@@ -272,7 +187,7 @@ class Packet:
         Like a CNP, the ack is a control packet riding the return path
         and its ``flow`` is rewritten to the data-flow key.
         """
-        pkt = cls.acquire(src, dst, 0, header=ACK_WIRE_BYTES, vl=vl, sl=sl)
+        pkt = cls(src, dst, 0, header=ACK_WIRE_BYTES, vl=vl, sl=sl)
         pkt.flags = FLAG_CONTROL | FLAG_ACK
         pkt.psn = psn
         pkt.flow = (dst, src)
@@ -288,14 +203,3 @@ class Packet:
             + ")"
         )
 
-
-def release(pkt: Packet) -> None:
-    """Return a packet to the free list at the end of its lifecycle.
-
-    Callers must drop every reference afterwards — the object may be
-    handed out again by the next :meth:`Packet.acquire`. Releasing is
-    optional (an un-released packet is simply garbage-collected), so
-    cold paths and tests can ignore pooling entirely.
-    """
-    if _pool_enabled and len(_pool) < _POOL_LIMIT:
-        _pool.append(pkt)

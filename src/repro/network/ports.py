@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.simulator import Simulator
-from repro.network.packet import FLAG_CONTROL, FLAG_FECN, Packet, release
+from repro.network.packet import FLAG_CONTROL, FLAG_FECN, Packet
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +303,6 @@ class OutputPort:
                 self.port_index, pkt.vl, pkt.src, pkt.dst, pkt.payload,
                 1 if pkt.is_control else 0, "link",
             )
-        release(pkt)
 
     def fail(self) -> None:
         """Take the link down: no new transmissions, in-flight tx lost."""

@@ -184,7 +184,7 @@ class BNodeSource:
             self._msg_remaining[stream] = self.msg_packets
             self._msg_seq += 1
             self.messages_started += 1
-        pkt = Packet.acquire(
+        pkt = Packet(
             self.node_id,
             self._msg_dst[stream],
             self.mtu,

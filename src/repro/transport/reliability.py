@@ -203,7 +203,7 @@ class HcaTransport:
             if flow.state == FLOW_FAILED or entry.psn <= flow.acked_psn:
                 continue
             now = self.sim.now
-            pkt = Packet.acquire(
+            pkt = Packet(
                 self.node_id,
                 flow.dst,
                 entry.payload,

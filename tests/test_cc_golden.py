@@ -97,22 +97,16 @@ def test_store_key_distinct_for_other_mechanisms_and_tunings():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("mech", ["ib", "dctcp", "reno", "dcqcn"])
-def test_mechanism_digest_invariant_under_scheduler(monkeypatch, mech):
-    """Every registered mechanism digests identically on both kernels.
+def test_mechanism_audits_clean_on_traced_quick_cell(mech):
+    """Every registered mechanism passes the online trace auditor.
 
     The CC feedback loops are the most timing-entangled consumers of
-    the event queue (CCT timers, CNP scheduling, rate updates at
-    sub-bucket delays), so each mechanism gets its own heap-vs-calendar
-    equivalence check on a seconds-scale cell.
+    the event queue (CCT timers, CNP scheduling, rate updates), so each
+    mechanism gets its own traced seconds-scale cell.
     """
-    cfg = _quick_arena_config(CCConfig.make(mech))
-    monkeypatch.setenv("REPRO_SCHEDULER", "heapq")
-    ref = run_experiment(cfg, trace=True)
-    monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-    cal = run_experiment(cfg, trace=True)
-    assert ref.trace_violations == 0 and cal.trace_violations == 0
-    assert ref.trace_digest is not None
-    assert cal.trace_digest == ref.trace_digest
+    res = run_experiment(_quick_arena_config(CCConfig.make(mech)), trace=True)
+    assert res.trace_violations == 0
+    assert res.trace_digest is not None
 
 
 @pytest.mark.slow

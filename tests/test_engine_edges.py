@@ -68,12 +68,11 @@ class TestSchedulingEdges:
         sim.run()
         assert sim.events_executed == 2
 
-    @pytest.mark.parametrize("scheduler", ["heapq", "calendar"])
-    def test_nan_time_is_rejected_and_strands_nothing(self, scheduler):
+    def test_nan_time_is_rejected_and_strands_nothing(self):
         # ``nan < 0`` is false, so a ``delay < 0`` guard let NaN through;
         # a NaN key then broke the heap invariant silently: this sequence
         # fired b, c and stranded a.
-        sim = Simulator(scheduler=scheduler)
+        sim = Simulator()
         fired = []
         sim.schedule(5.0, fired.append, "a")
         with pytest.raises(SimulationError):

@@ -109,14 +109,8 @@ def test_windy_quick_golden(update_golden):
 
 
 # ----------------------------------------------------------------------
-# Kernel-choice invariance: the event-queue implementation and the
-# packet flyweight pool are performance knobs, never behavioral ones.
-# Every (scheduler, pool) combination must reproduce the SAME pinned
-# digest per scenario — one golden key shared by all four combos, so
-# any divergence between combos fails loudly. The full-length golden
-# cells above run under ``REPRO_SCHEDULER=calendar`` in CI's
-# kernel-differential job; these short cells keep the 4-way matrix
-# affordable inside the regular suite.
+# Short kernel cells: three seconds-scale slices of the Table II CC-on
+# cell, cheap enough to pin the event stream inside the regular suite.
 # ----------------------------------------------------------------------
 
 def _kernel_cell(**overrides) -> ExperimentConfig:
@@ -135,25 +129,14 @@ KERNEL_CELLS = {
     "kernel-quick-moving-cc": {"hotspot_lifetime_ns": 1e6},
 }
 
-KERNEL_COMBOS = [
-    pytest.param("heapq", "1", id="heapq-pool"),
-    pytest.param("heapq", "0", id="heapq-nopool"),
-    pytest.param("calendar", "1", id="calendar-pool"),
-    pytest.param("calendar", "0", id="calendar-nopool"),
-]
-
 
 @pytest.mark.slow
-@pytest.mark.parametrize("sched,pool", KERNEL_COMBOS)
-def test_kernel_choices_never_move_digests(update_golden, monkeypatch, sched, pool):
-    monkeypatch.setenv("REPRO_SCHEDULER", sched)
-    monkeypatch.setenv("REPRO_PACKET_POOL", pool)
+def test_kernel_quick_goldens(update_golden):
     observed = {}
     for key, overrides in KERNEL_CELLS.items():
         res = run_experiment(_kernel_cell(**overrides), trace=True)
         assert res.trace_violations == 0, (
-            f"{key} [{sched},pool={pool}]: {res.trace_violations} "
-            "invariant violation(s)"
+            f"{key}: {res.trace_violations} invariant violation(s)"
         )
         observed[key] = res.trace_digest
     if update_golden:
@@ -166,6 +149,5 @@ def test_kernel_choices_never_move_digests(update_golden, monkeypatch, sched, po
         if digest != goldens.get(key)
     ]
     assert not mismatched, (
-        f"scheduler={sched} pool={pool} moved the event stream "
-        "(kernel choices must be behavior-free):\n  " + "\n  ".join(mismatched)
+        "kernel cells moved the event stream:\n  " + "\n  ".join(mismatched)
     )

@@ -576,81 +576,6 @@ def test_trc001_real_trace_package_is_clean():
 
 
 # ---------------------------------------------------------------------------
-# SCH001 — scheduler-registry drift
-
-
-def test_sch001_fires_when_cli_misses_a_scheduler(tmp_path):
-    report = lint_tree(tmp_path, {
-        "engine/scheduler.py": """\
-            SCHEDULERS = {"heapq": object, "calendar": object, "splay": object}
-            """,
-        "experiments/cli.py": """\
-            def build_parser(parser):
-                parser.add_argument("--scheduler", choices=["heapq", "calendar"])
-            """,
-    }, rules=["SCH001"])
-    assert rule_ids(report) == ["SCH001"]
-    assert report.findings[0].severity == SEV_ERROR
-    assert "'splay'" in report.findings[0].message
-
-
-def test_sch001_fires_on_cli_choice_without_registry_entry(tmp_path):
-    report = lint_tree(tmp_path, {
-        "engine/scheduler.py": """\
-            SCHEDULERS = {"heapq": object}
-            """,
-        "experiments/cli.py": """\
-            def build_parser(parser):
-                parser.add_argument("--scheduler", choices=["heapq", "calendar"])
-            """,
-    }, rules=["SCH001"])
-    assert rule_ids(report) == ["SCH001"]
-    assert "make_scheduler" in report.findings[0].message
-
-
-def test_sch001_clean_when_registry_and_cli_agree(tmp_path):
-    report = lint_tree(tmp_path, {
-        "engine/scheduler.py": """\
-            SCHEDULERS = {"heapq": object, "calendar": object}
-            """,
-        "experiments/cli.py": """\
-            def build_parser(parser):
-                parser.add_argument("--scheduler", choices=["heapq", "calendar"])
-            """,
-    }, rules=["SCH001"])
-    assert report.findings == []
-
-
-def test_sch001_silent_when_either_side_is_outside_scope(tmp_path):
-    report = lint_tree(tmp_path, {
-        "engine/scheduler.py": """\
-            SCHEDULERS = {"heapq": object, "calendar": object}
-            """,
-    }, rules=["SCH001"])
-    assert report.findings == []
-
-
-def test_sch001_catches_choice_removed_from_real_cli(tmp_path):
-    """Dropping calendar from the shipped CLI must fail the lint."""
-    sandbox = _copy_real(
-        tmp_path, ("repro/engine/scheduler.py", "repro/experiments/cli.py")
-    )
-    cli = sandbox / "repro/experiments/cli.py"
-    text = cli.read_text()
-    marker = 'choices=["heapq", "calendar"]'
-    assert marker in text
-    cli.write_text(text.replace(marker, 'choices=["heapq"]'))
-    report = run_lint([str(sandbox)], rules=["SCH001"])
-    assert [f.rule for f in report.findings] == ["SCH001"]
-    assert "'calendar'" in report.findings[0].message
-
-
-def test_sch001_clean_on_shipped_source():
-    report = run_lint([str(SRC)], rules=["SCH001"])
-    assert report.findings == []
-
-
-# ---------------------------------------------------------------------------
 # IMP001 — unused imports
 
 
