@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "with --jobs>1: per-cell wall-clock budget; the supervisor "
+            "per-cell wall-clock budget (runs cells on a worker process "
+            "even at --jobs 1); the supervisor "
             "preempts the worker of a cell that exceeds it and records "
             "the cell failed with error_kind=timeout"
         ),
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MB",
         help=(
-            "with --jobs>1: per-worker address-space budget "
+            "per-worker address-space budget "
             "(RLIMIT_AS); a cell that allocates past it fails in place "
             "with error_kind=oom instead of inviting the kernel OOM "
             "killer"

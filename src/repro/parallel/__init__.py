@@ -1,16 +1,18 @@
 """repro.parallel — fault-tolerant parallel experiment execution.
 
 Paper artifacts (Table II, figures 5–10) and CC parameter-tuning
-campaigns are grids of *independent* simulation cells; this package
-fans such grids out over a process pool with deterministic seeding,
-per-cell timeout + bounded retry, read-through/write-through result
-caching, and progress/manifest telemetry:
+campaigns are grids of *independent* simulation cells. This package
+runs such grids with deterministic seeding, bounded retry,
+read-through/write-through result caching, and progress/manifest
+telemetry. Every cell goes through one loop,
+:meth:`Supervisor.run <repro.parallel.supervisor.Supervisor.run>`,
+which runs it inline (zero workers) or on persistent worker processes
+and reports it once as a terminal :class:`CellOutcome`:
 
-* :mod:`repro.parallel.pool` — :func:`run_campaign` / :func:`run_cells`,
-  the executor itself;
-* :mod:`repro.parallel.supervisor` — the persistent-worker runtime
-  behind ``jobs>1`` (heartbeats, crash isolation, poisoned-cell
-  quarantine, resource budgets);
+* :mod:`repro.parallel.pool` — :func:`run_campaign`, a grid in and a
+  :class:`CampaignResult` out;
+* :mod:`repro.parallel.supervisor` — the loop (heartbeats, crash
+  isolation, poisoned-cell quarantine, resource budgets);
 * :mod:`repro.parallel.errors` — the structured failure taxonomy
   (``crash | oom | timeout | config | sim | poisoned | unknown``);
 * :mod:`repro.parallel.retry` — :class:`RetryPolicy`;
@@ -23,8 +25,8 @@ caching, and progress/manifest telemetry:
 
 Every experiment driver (``sweep``, ``run_table2``, the windy/moving
 figures, and the ``ibcc-repro`` CLI) accepts ``jobs=``/``cache=`` and
-routes through this executor; ``jobs=1`` reproduces the historical
-serial behavior byte-for-byte.
+routes through :func:`run_campaign`; results are identical at any
+``jobs`` value.
 """
 
 from repro.parallel.cache import CellCache, NullCache, as_cache
@@ -33,17 +35,15 @@ from repro.parallel.manifest import CellRecord, RunManifest
 from repro.parallel.pool import (
     CampaignError,
     CampaignResult,
-    CellOutcome,
     derive_seed,
     run_campaign,
-    run_cells,
 )
 from repro.parallel.progress import ProgressReporter
 from repro.parallel.retry import DEFAULT_CAMPAIGN_POLICY, NO_RETRY, RetryPolicy
 from repro.parallel.supervisor import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_POISON_THRESHOLD,
-    Supervisor,
+    CellOutcome,
 )
 
 __all__ = [
@@ -62,9 +62,7 @@ __all__ = [
     "ProgressReporter",
     "RetryPolicy",
     "RunManifest",
-    "Supervisor",
     "as_cache",
     "derive_seed",
     "run_campaign",
-    "run_cells",
 ]

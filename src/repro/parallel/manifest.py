@@ -103,7 +103,7 @@ class RunManifest:
         return manifest
 
     def add(self, outcome) -> None:
-        """Fold one :class:`~repro.parallel.pool.CellOutcome` in."""
+        """Fold one :class:`~repro.parallel.supervisor.CellOutcome` in."""
         self.total_cells += 1
         if outcome.status == "cached":
             self.cache_hits += 1

@@ -1,44 +1,31 @@
-"""Fault-tolerant fan-out of experiment cells over supervised workers.
+"""Campaigns: a grid of cells in, one :class:`CampaignResult` out.
 
 A campaign is a list of :class:`ExperimentConfig` cells, each a pure
 function of its config (the RNG registry is seeded from ``config.seed``
 — see :mod:`repro.engine.rng`), so cells can run in any order on any
-worker and still produce exactly the serial results. This module turns
-such a list into a job run:
+worker and still produce the same results. :func:`run_campaign`
+turns such a list into a run:
 
-* ``jobs=1`` executes in-process, in submission order — byte-identical
-  to the historical serial drivers;
-* ``jobs>1`` fans out over the supervised persistent-worker runtime
-  (:mod:`repro.parallel.supervisor`): long-lived worker processes that
-  execute many cells each, per-worker heartbeats with liveness
-  deadlines, individual worker restart on crash (only the dead worker's
-  in-flight cell is retried), a poisoned-cell circuit breaker, and
-  per-cell resource budgets (``timeout_s`` wall clock enforced by the
-  supervisor, ``max_rss_mb`` via ``RLIMIT_AS`` inside the worker). The
-  worker count is capped to the visible core count (oversubscribing
-  CPU-bound cells only adds overhead — pass ``oversubscribe=True`` to
-  lift the cap, e.g. for chaos testing), and when the cap leaves a
-  single worker with no budgets to enforce the run degrades to the
-  in-process path;
 * a cache (:mod:`repro.parallel.cache`) is consulted read-through
-  before any cell is simulated and populated write-through as results
-  arrive, so resumed campaigns skip completed cells;
-* every cell ends in a terminal :class:`CellOutcome` — a crashed or
-  hung cell becomes a ``failed`` record in the run manifest
-  (:mod:`repro.parallel.manifest`) with a structured ``error_kind``
-  from :mod:`repro.parallel.errors` instead of killing the campaign;
-* SIGINT (Ctrl-C) and SIGTERM are graceful: queued cells are
-  cancelled, executing cells are *drained* (their results land in the
-  cache and manifest; a second signal abandons them as
-  ``interrupted``), the manifest checkpoint is flushed, and
-  :class:`CampaignInterrupted` is raised with a clean summary and the
-  partial :class:`CampaignResult` attached;
+  before any cell is simulated, and a prior manifest can be replayed
+  (``resume_from=``), so resumed campaigns skip completed cells;
+* the remaining cells go to one :class:`~repro.parallel.supervisor.Supervisor`
+  run, which writes each result through to the cache and reports every
+  cell as a terminal :class:`CellOutcome` — a crashed, hung or
+  unstorable cell becomes a ``failed`` record with a structured
+  ``error_kind`` (:mod:`repro.parallel.errors`) instead of killing the
+  campaign;
+* the supervisor gets ``jobs`` workers, capped to the visible core
+  count (``oversubscribe=True`` lifts the cap, e.g. for chaos testing)
+  and to the number of pending cells. When the cap leaves one worker
+  and no per-cell budget needs a preemptable process, it gets zero
+  workers and runs the cells inline, in submission order;
 * the manifest (``manifest_path=``) is checkpointed atomically after
-  every terminal cell, and ``resume_from=`` replays a prior manifest —
-  completed cells come back through the cache, quarantined failures
-  (poisoned cells, timeouts, …) are replayed as ``failed`` records
-  without burning workers on them again unless ``retry_failed=True``,
-  and everything else re-runs.
+  every terminal cell;
+* SIGINT (Ctrl-C) and SIGTERM are graceful: queued cells are
+  cancelled, executing cells drain, the manifest is flushed, and
+  :class:`CampaignInterrupted` is raised with the partial
+  :class:`CampaignResult` attached.
 """
 
 from __future__ import annotations
@@ -47,30 +34,24 @@ import hashlib
 import os
 import signal
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Deque, List, Optional, Sequence
 
 from repro.experiments.config import ConfigError, ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.store import config_key
 from repro.parallel.cache import as_cache
-from repro.parallel.errors import (
-    ERR_SIM,
-    ERR_UNKNOWN,
-    NO_RETRY_KINDS,
-    classify_exception,
-    format_error,
-)
+from repro.parallel.errors import ERR_UNKNOWN
 from repro.parallel.manifest import RunManifest
 from repro.parallel.progress import ProgressReporter
 from repro.parallel.retry import NO_RETRY, RetryPolicy
 from repro.parallel.supervisor import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_POISON_THRESHOLD,
-    peak_rss_mb,
-    run_supervised,
+    CellJob,
+    CellOutcome,
+    Supervisor,
 )
 
 
@@ -101,33 +82,6 @@ def derive_seed(base_seed: int, index: int) -> int:
     """
     blob = f"{base_seed}:{index}".encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
-
-
-@dataclass
-class CellOutcome:
-    """Terminal state of one campaign cell."""
-
-    index: int
-    config: Any
-    key: str
-    status: str  # "ok" | "cached" | "failed" | "interrupted"
-    attempts: int
-    wall_seconds: float
-    result: Any = None
-    error: Optional[str] = None
-    # Structured failure taxonomy (repro.parallel.errors); set only for
-    # status == "failed".
-    error_kind: Optional[str] = None
-    # Worker processes this cell killed or had preempted while it was
-    # in flight (crash / stall / timeout kills attributed to the cell).
-    worker_restarts: int = 0
-    # RSS high-water mark (MB) of the process that ran the cell, read
-    # when the cell ended; None when nothing ran (cached, replayed).
-    peak_rss_mb: Optional[float] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status in ("ok", "cached")
 
 
 @dataclass
@@ -188,23 +142,6 @@ class CampaignInterrupted(KeyboardInterrupt):
         super().__init__(msg)
 
 
-@dataclass
-class _CellJob:
-    """Executor-internal mutable state of one in-flight cell."""
-
-    index: int
-    config: Any
-    key: str
-    attempts: int = 0
-    started: float = 0.0
-    not_before: float = 0.0
-    # Sequence number of the dispatch currently executing this cell on
-    # a supervised worker (stale replies are matched against it).
-    seq: int = -1
-    worker_restarts: int = 0
-    peak_rss_mb: Optional[float] = None
-
-
 def _install_sigterm_handler() -> Callable[[], None]:
     """Map SIGTERM onto KeyboardInterrupt so it drains like Ctrl-C.
 
@@ -260,8 +197,9 @@ def run_campaign(
     :func:`derive_seed(reseed_from, index) <derive_seed>` — the same
     seeds at any ``jobs`` value.
 
-    Per-cell budgets apply to ``jobs > 1`` (a serial run cannot preempt
-    itself): ``timeout_s`` bounds one attempt's wall clock — the
+    Per-cell budgets need a preemptable worker process, so setting
+    either runs the cells on at least one worker even at ``jobs=1``:
+    ``timeout_s`` bounds one attempt's wall clock — the
     supervisor kills and replaces the worker (``error_kind="timeout"``);
     ``max_rss_mb`` caps worker address space via ``RLIMIT_AS`` so a
     runaway allocation fails in-place with ``MemoryError``
@@ -316,8 +254,48 @@ def run_campaign(
                 raise ConfigError(f"campaign cell {i}: {exc}") from None
 
     outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
-    pending: List[_CellJob] = []
-    reporter.start(len(cells), jobs)
+    pending: Deque[CellJob] = deque()
+
+    # Read-through: completed cells are served from the cache, prior
+    # quarantined failures are replayed as records (not re-run).
+    for i, cfg in enumerate(cells):
+        key = config_key(cfg) if isinstance(cfg, ExperimentConfig) else _fallback_key(cfg)
+        cached = cache.load(cfg) if isinstance(cfg, ExperimentConfig) else None
+        if cached is not None:
+            outcomes[i] = CellOutcome(
+                index=i, config=cfg, key=key, status="cached",
+                attempts=0, wall_seconds=0.0, result=cached,
+            )
+        elif key in prior_failed:
+            rec = prior_failed[key]
+            kind = rec.error_kind or ERR_UNKNOWN
+            outcomes[i] = CellOutcome(
+                index=i, config=cfg, key=key, status="failed",
+                attempts=rec.attempts, wall_seconds=0.0, error=rec.error,
+                error_kind=kind, worker_restarts=rec.worker_restarts,
+            )
+            reporter.note(
+                f"resume: cell {i} ({key}) failed in the prior run "
+                f"(error_kind={kind}); replaying its record — "
+                "pass retry_failed to re-run it"
+            )
+        else:
+            if key in resume_keys:
+                reporter.note(
+                    f"resume: cell {i} ({key}) completed in the prior run "
+                    "but is missing from the cache; re-running"
+                )
+            pending.append(CellJob(index=i, config=cfg, key=key))
+
+    # Workers only help while several can run at once; one worker with
+    # no budget to enforce is strictly slower than running inline.
+    width = _effective_workers(jobs, len(pending), oversubscribe=oversubscribe)
+    budgeted = timeout_s is not None or max_rss_mb is not None
+    workers = width if width > 1 or budgeted else 0
+    reporter.start(len(cells), width)
+    for outcome in outcomes:
+        if outcome is not None:
+            reporter.on_outcome(outcome)
 
     def build_manifest(*, complete: bool) -> RunManifest:
         manifest = RunManifest.from_outcomes(
@@ -332,107 +310,29 @@ def run_campaign(
         if manifest_path is not None:
             build_manifest(complete=False).save(manifest_path)
 
-    # Read-through: completed cells are served from the cache, prior
-    # quarantined failures are replayed as records (not re-run).
-    for i, cfg in enumerate(cells):
-        key = config_key(cfg) if isinstance(cfg, ExperimentConfig) else _fallback_key(cfg)
-        cached = cache.load(cfg) if isinstance(cfg, ExperimentConfig) else None
-        if cached is not None:
-            outcomes[i] = CellOutcome(
-                index=i, config=cfg, key=key, status="cached",
-                attempts=0, wall_seconds=0.0, result=cached,
-            )
-            reporter.on_outcome(outcomes[i])
-        elif key in prior_failed:
-            rec = prior_failed[key]
-            kind = rec.error_kind or ERR_UNKNOWN
-            outcomes[i] = CellOutcome(
-                index=i, config=cfg, key=key, status="failed",
-                attempts=rec.attempts, wall_seconds=0.0, error=rec.error,
-                error_kind=kind, worker_restarts=rec.worker_restarts,
-            )
-            reporter.note(
-                f"resume: cell {i} ({key}) failed in the prior run "
-                f"(error_kind={kind}); replaying its record — "
-                "pass retry_failed to re-run it"
-            )
-            reporter.on_outcome(outcomes[i])
-        else:
-            if key in resume_keys:
-                reporter.note(
-                    f"resume: cell {i} ({key}) completed in the prior run "
-                    "but is missing from the cache; re-running"
-                )
-            pending.append(_CellJob(index=i, config=cfg, key=key))
+    def on_done(job: CellJob, outcome: CellOutcome) -> None:
+        outcomes[job.index] = outcome
+        reporter.on_outcome(outcome)
+        checkpoint()
+
     checkpoint()
-
-    def record_ok(job: _CellJob, result: Any, wall: float) -> None:
-        outcomes[job.index] = CellOutcome(
-            index=job.index, config=job.config, key=job.key, status="ok",
-            attempts=job.attempts + 1, wall_seconds=wall, result=result,
-            worker_restarts=job.worker_restarts, peak_rss_mb=job.peak_rss_mb,
-        )
-        cache.save(result)  # write-through
-        reporter.on_outcome(outcomes[job.index])
-        checkpoint()
-
-    def record_failed(
-        job: _CellJob, error: str, wall: float, error_kind: str = ERR_SIM
-    ) -> None:
-        outcomes[job.index] = CellOutcome(
-            index=job.index, config=job.config, key=job.key, status="failed",
-            attempts=job.attempts, wall_seconds=wall, error=error,
-            error_kind=error_kind, worker_restarts=job.worker_restarts,
-            peak_rss_mb=job.peak_rss_mb,
-        )
-        reporter.on_outcome(outcomes[job.index])
-        checkpoint()
-
-    def record_interrupted(job: _CellJob, error: str, wall: float = 0.0) -> None:
-        outcomes[job.index] = CellOutcome(
-            index=job.index, config=job.config, key=job.key,
-            status="interrupted", attempts=job.attempts,
-            wall_seconds=wall, error=error,
-            worker_restarts=job.worker_restarts,
-        )
-        reporter.on_outcome(outcomes[job.index])
-        checkpoint()
-
     was_interrupted = False
     if pending:
-        # Supervised workers only help while several can actually run;
-        # on a starved host (workers capped to 1) the in-process path
-        # is strictly faster — unless a resource budget must be
-        # enforced, which requires a preemptable worker process.
-        workers = _effective_workers(jobs, len(pending), oversubscribe=oversubscribe)
-        use_pool = jobs > 1 and (
-            workers > 1 or timeout_s is not None or max_rss_mb is not None
-        )
-        if jobs > 1 and workers < jobs and use_pool:
+        if jobs > width:
+            how = f"{width} worker(s)" if workers else "running inline"
             reporter.note(
-                f"jobs={jobs} capped to {workers} worker(s) "
+                f"jobs={jobs} capped to {how} "
                 f"({os.cpu_count() or 1} core(s), {len(pending)} pending cell(s))"
             )
-        elif jobs > 1 and not use_pool:
-            reporter.note(
-                f"jobs={jobs} on {os.cpu_count() or 1} core(s): "
-                "running in-process (a pool would only add overhead)"
-            )
+        supervisor = Supervisor(
+            fn, workers=workers, retry=retry, reporter=reporter,
+            on_done=on_done, store=cache, timeout_s=timeout_s,
+            max_rss_mb=max_rss_mb, heartbeat_s=heartbeat_s,
+            poison_threshold=poison_threshold,
+        )
         restore_sigterm = _install_sigterm_handler()
         try:
-            if not use_pool:
-                _run_serial(
-                    pending, fn, retry, reporter,
-                    record_ok, record_failed, record_interrupted,
-                )
-            else:
-                run_supervised(
-                    deque(pending), fn, retry, workers, timeout_s,
-                    max_rss_mb, reporter,
-                    record_ok, record_failed, record_interrupted,
-                    heartbeat_s=heartbeat_s,
-                    poison_threshold=poison_threshold,
-                )
+            supervisor.run(pending)
         except KeyboardInterrupt:
             was_interrupted = True
         finally:
@@ -448,51 +348,6 @@ def run_campaign(
     return result
 
 
-def run_cells(configs: Sequence[Any], **kwargs) -> List[CellOutcome]:
-    """:func:`run_campaign`, returning just the per-cell outcomes."""
-    return run_campaign(configs, **kwargs).outcomes
-
-
 def _fallback_key(cfg: Any) -> str:
     """Content key for non-ExperimentConfig payloads (uncached)."""
     return hashlib.sha256(repr(cfg).encode()).hexdigest()[:16]
-
-
-def _run_serial(
-    pending, fn, retry, reporter, record_ok, record_failed, record_interrupted
-) -> None:
-    """The ``jobs=1`` path: in-process, submission order, byte-identical."""
-    for pos, job in enumerate(pending):
-        while True:
-            started = time.perf_counter()
-            try:
-                result = fn(job.config)
-            except KeyboardInterrupt:
-                # Ctrl-C mid-cell: the in-flight cell and everything
-                # not yet started become ``interrupted`` records, then
-                # the interrupt propagates for run_campaign to wrap.
-                record_interrupted(
-                    job, "interrupted while executing",
-                    time.perf_counter() - started,
-                )
-                for later in pending[pos + 1:]:
-                    record_interrupted(later, "interrupted before start")
-                raise
-            except Exception as exc:
-                wall = time.perf_counter() - started
-                job.attempts += 1
-                kind = classify_exception(exc)
-                error = format_error(exc)
-                if kind not in NO_RETRY_KINDS and retry.should_retry(job.attempts):
-                    reporter.on_retry(job.index, job.attempts, error)
-                    delay = retry.delay_s(job.attempts)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                job.peak_rss_mb = peak_rss_mb()
-                record_failed(job, error, wall, error_kind=kind)
-            else:
-                wall = time.perf_counter() - started
-                job.peak_rss_mb = peak_rss_mb()
-                record_ok(job, result, wall)
-            break

@@ -3,8 +3,8 @@
 A campaign over hundreds of cells must survive the occasional crashed
 or hung worker: one lost cell should cost one retried simulation, not
 the whole run. :class:`RetryPolicy` decides *whether* an attempt may be
-retried and *how long* to wait before the next attempt; the executor in
-:mod:`repro.parallel.pool` applies it per cell.
+retried and *how long* to wait before the next attempt; the supervisor
+in :mod:`repro.parallel.supervisor` applies it per cell.
 """
 
 from __future__ import annotations

@@ -1,40 +1,53 @@
-"""Supervised persistent-worker runtime for campaign fan-out.
+"""The one execution loop: cells in, one terminal outcome per cell out.
 
-The executor in :mod:`repro.parallel.pool` used to rent a
-``ProcessPoolExecutor`` per campaign; this module replaces it with a
-runtime the campaign *owns*:
+Every cell this package runs goes through :meth:`Supervisor.run`, whether
+it belongs to a :func:`~repro.parallel.pool.run_campaign` grid or was
+dispatched by the ``repro serve`` daemon. The loop takes
+:class:`CellJob` items off a deque and reports each cell exactly once,
+through ``on_done(job, outcome)`` with a :class:`CellOutcome`. A
+successful result is written through to the store first, on the
+supervisor's own thread; a write that raises turns the cell into a
+``failed`` record (``error_kind="sim"``). ``run(queue)`` drains the
+queue and returns. ``run(queue, stop)`` keeps serving a queue that
+other threads append to, until ``stop`` is set and nothing is queued
+or executing.
 
-* **persistent workers** — each worker process executes many cells over
-  a ``multiprocessing`` pipe, so a campaign pays process start-up once
-  per worker instead of once per pool recycle, and ``jobs=N`` can
-  actually approach ``N``-fold speedup on a wide matrix;
+With zero workers the loop calls the cell function inline, in queue
+order. Otherwise it runs cells on worker processes:
+
+* **persistent workers** — spawned lazily, up to ``min(n_workers,
+  queued + executing)`` on every pass; each executes many cells over a
+  ``multiprocessing`` pipe, so process start-up is paid once per
+  worker;
 * **heartbeats + liveness deadlines** — every worker runs a heartbeat
   thread; a worker that stops beating while its process is still alive
-  (wedged in a C extension, livelocked) is killed and replaced instead
-  of hanging the campaign;
+  (wedged in a C extension, livelocked) is killed and replaced;
 * **crash isolation** — a worker that dies hard (SIGKILL, segfault,
-  kernel OOM-kill) loses only its own in-flight cell; the supervisor
-  restarts *that one worker* and retries *that one cell* while every
-  other worker keeps executing;
+  kernel OOM-kill) loses only its own in-flight cell, which is retried
+  while every other worker keeps executing;
 * **poisoned-cell circuit breaker** — a cell that kills
-  ``poison_threshold`` workers is quarantined as a structured
-  ``failed`` record with ``error_kind="poisoned"`` instead of looping
-  through restarts or aborting the campaign;
+  ``poison_threshold`` workers is quarantined as a ``failed`` record
+  with ``error_kind="poisoned"``;
 * **resource budgets** — per-cell wall clock is enforced by the
   supervisor (``error_kind="timeout"``); RSS is enforced inside the
   worker via ``resource.setrlimit(RLIMIT_AS)`` so a runaway allocation
   fails with ``MemoryError`` (``error_kind="oom"``) while the worker
   survives;
-* **graceful drain** — on ``KeyboardInterrupt`` (the executor maps
-  SIGTERM onto it too) queued cells are cancelled and executing cells
-  drain to completion, exactly like the historical Ctrl-C path;
 * **a wake channel** — the supervisor blocks in one ``wait`` over the
   worker pipes, the process sentinels and a pipe of its own;
   :meth:`Supervisor.wake` (thread-safe) writes to that pipe, so a
-  thread that queues work or asks for a stop is served at once instead
-  of at the next poll tick;
+  thread that queues work or asks for a stop is served at once;
 * **no orphans** — a worker whose supervisor process is gone (SIGKILL
   leaves no chance to send ``stop``) exits from its heartbeat thread.
+
+An inline result and a worker's ``"done"`` message reach the same
+completion and retry/backoff code, so retries, the store write and the
+failure taxonomy do not depend on the worker count. On
+``KeyboardInterrupt`` (``run_campaign`` maps SIGTERM onto it too) the
+queued cells are recorded ``interrupted before start``, executing
+cells drain to completion (a second interrupt, or an interrupt of an
+inline cell, records them ``interrupted while executing``), and the
+interrupt is re-raised.
 
 The wire protocol is deliberately tiny. Supervisor → worker::
 
@@ -68,12 +81,15 @@ import signal
 import sys
 import threading
 import time
+from collections import deque
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.parallel.errors import (
     ERR_CRASH,
     ERR_POISONED,
+    ERR_SIM,
     ERR_TIMEOUT,
     NO_RETRY_KINDS,
     classify_exception,
@@ -86,6 +102,54 @@ DEFAULT_HEARTBEAT_S = 0.25
 
 #: Default worker kills a single cell may cause before quarantine.
 DEFAULT_POISON_THRESHOLD = 2
+
+
+@dataclass
+class CellJob:
+    """Supervisor-side mutable state of one queued or executing cell."""
+
+    index: int
+    config: Any
+    key: str
+    #: ``time.monotonic()`` when the cell was queued; ``started`` is the
+    #: stamp of its latest dispatch, on the same clock, and stays 0.0
+    #: for a cell that never got one.
+    queued_at: float = 0.0
+    attempts: int = 0
+    started: float = 0.0
+    not_before: float = 0.0
+    # Sequence number of the dispatch currently executing this cell on
+    # a worker (stale replies are matched against it).
+    seq: int = -1
+    worker_restarts: int = 0
+    peak_rss_mb: Optional[float] = None
+
+
+@dataclass
+class CellOutcome:
+    """Terminal state of one cell."""
+
+    index: int
+    config: Any
+    key: str
+    status: str  # "ok" | "cached" | "failed" | "interrupted"
+    attempts: int
+    wall_seconds: float
+    result: Any = None
+    error: Optional[str] = None
+    # Structured failure taxonomy (repro.parallel.errors); set only for
+    # status == "failed".
+    error_kind: Optional[str] = None
+    # Worker processes this cell killed or had preempted while it was
+    # in flight (crash / stall / timeout kills attributed to the cell).
+    worker_restarts: int = 0
+    # RSS high-water mark (MB) of the process that ran the cell, read
+    # when the cell ended; None when nothing ran (cached, replayed).
+    peak_rss_mb: Optional[float] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.status in ("ok", "cached")
 
 
 def _mp_context():
@@ -214,35 +278,36 @@ def worker_main(
         stop_beating.set()
 
 
+
+
 class _WorkerHandle:
     """Supervisor-side state of one worker process."""
 
     __slots__ = (
         "id", "proc", "conn", "job", "dispatched_at", "last_seen",
-        "expected_death", "cells_done",
+        "expected_death",
     )
 
     def __init__(self, worker_id: int, proc, conn) -> None:
         self.id = worker_id
         self.proc = proc
         self.conn = conn
-        self.job = None
+        self.job: Optional[CellJob] = None
         self.dispatched_at = 0.0
         self.last_seen = time.monotonic()
         #: True when the supervisor itself killed this worker (timeout /
         #: stall / abort) and has already accounted for its in-flight
         #: cell — the sentinel firing later must not double-count.
         self.expected_death = False
-        self.cells_done = 0
 
 
 class Supervisor:
-    """Owns the worker fleet and runs one campaign's pending cells.
+    """Runs queued cells, inline or on a worker fleet, to terminal outcomes.
 
-    The four ``record_*``/``reporter`` callables are the same closures
-    :func:`repro.parallel.pool.run_campaign` hands its serial path, so
-    outcomes, manifest checkpoints and progress telemetry are identical
-    regardless of the execution backend.
+    ``workers=0`` executes every cell inline on the calling thread.
+    ``on_done(job, outcome)`` is called once per cell on the thread
+    that called :meth:`run`. ``store`` is anything with
+    ``save(result)``; None skips the write-through.
     """
 
     def __init__(
@@ -252,25 +317,23 @@ class Supervisor:
         workers: int,
         retry: RetryPolicy,
         reporter,
-        record_ok,
-        record_failed,
-        record_interrupted,
+        on_done: Callable[[CellJob, CellOutcome], None],
+        store=None,
         timeout_s: Optional[float] = None,
         max_rss_mb: Optional[float] = None,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         poison_threshold: int = DEFAULT_POISON_THRESHOLD,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        if workers < 0:
+            raise ValueError("workers must be >= 0")
         if poison_threshold < 1:
             raise ValueError("poison_threshold must be >= 1")
         self.fn = fn
         self.n_workers = workers
         self.retry = retry
         self.reporter = reporter
-        self.record_ok = record_ok
-        self.record_failed = record_failed
-        self.record_interrupted = record_interrupted
+        self.on_done = on_done
+        self.store = store
         self.timeout_s = timeout_s
         self.max_rss_mb = max_rss_mb
         self.heartbeat_s = heartbeat_s
@@ -282,12 +345,11 @@ class Supervisor:
 
         self._ctx = _mp_context()
         self._workers: List[_WorkerHandle] = []
-        self._queue: Deque = None  # type: ignore[assignment]
+        self._queue: Deque[CellJob] = deque()
         self._kills: Dict[str, int] = {}  # cell key -> workers it killed
         self._next_worker_id = 0
         self._next_seq = 0
         self._draining = False
-        self.worker_restarts = 0  # campaign-total replacement spawns
         #: The wake channel: its read end is in every ``_poll`` wait
         #: set. Only raw bytes cross it; the Connection objects are
         #: there to close both ends when the supervisor is collected.
@@ -307,7 +369,7 @@ class Supervisor:
 
     # -- fleet management ----------------------------------------------
 
-    def _spawn(self) -> _WorkerHandle:
+    def _spawn(self) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         worker_id = self._next_worker_id
         self._next_worker_id += 1
@@ -319,9 +381,13 @@ class Supervisor:
         )
         proc.start()
         child_conn.close()
-        handle = _WorkerHandle(worker_id, proc, parent_conn)
-        self._workers.append(handle)
-        return handle
+        self._workers.append(_WorkerHandle(worker_id, proc, parent_conn))
+
+    def _grow(self) -> None:
+        """Spawn workers up to ``min(n_workers, queued + busy)``."""
+        want = min(self.n_workers, len(self._queue) + self._busy())
+        while len(self._workers) < want:
+            self._spawn()
 
     def _kill(self, worker: _WorkerHandle) -> None:
         """Hard-stop a worker the supervisor has given up on."""
@@ -339,32 +405,63 @@ class Supervisor:
         except OSError:
             return
 
-    def _want_respawn(self) -> bool:
-        if self._draining:
-            return False
-        live = len(self._workers)
-        outstanding = len(self._queue) + self._busy()
-        return live < self.n_workers and outstanding > live
-
     def _busy(self) -> int:
         return sum(1 for w in self._workers if w.job is not None)
 
-    # -- failure accounting --------------------------------------------
+    # -- outcome accounting --------------------------------------------
 
-    def _attempt_failed(self, job, kind: str, error: str, wall: float) -> None:
+    def _finish(
+        self, job: CellJob, status: str, wall: float, *,
+        result: Any = None, error: Optional[str] = None,
+        error_kind: Optional[str] = None,
+    ) -> None:
+        """The one place a cell becomes terminal."""
+        self.on_done(job, CellOutcome(
+            index=job.index, config=job.config, key=job.key, status=status,
+            attempts=job.attempts, wall_seconds=wall, result=result,
+            error=error, error_kind=error_kind,
+            worker_restarts=job.worker_restarts, peak_rss_mb=job.peak_rss_mb,
+        ))
+
+    def _attempt_done(
+        self, job: CellJob, kind: str, payload: Any, wall: float,
+        rss: Optional[float],
+    ) -> None:
+        """One attempt returned (inline or from a worker's ``"done"``)."""
+        job.peak_rss_mb = rss
+        if kind != "ok":
+            self._attempt_failed(job, kind, payload, wall)
+            return
+        job.attempts += 1
+        if self.store is not None:
+            try:
+                self.store.save(payload)
+            except Exception as exc:
+                # Nothing durable exists to serve or resume from, so
+                # the cell failed as far as anyone downstream can tell.
+                self._finish(
+                    job, "failed", wall, error_kind=ERR_SIM,
+                    error=f"result could not be stored: {exc!r}",
+                )
+                return
+        self._finish(job, "ok", wall, result=payload)
+
+    def _attempt_failed(self, job: CellJob, kind: str, error: str, wall: float) -> None:
         job.attempts += 1
         if (
             self._draining
             or kind in NO_RETRY_KINDS
             or not self.retry.should_retry(job.attempts)
         ):
-            self.record_failed(job, error, wall, error_kind=kind)
+            self._finish(job, "failed", wall, error=error, error_kind=kind)
         else:
             self.reporter.on_retry(job.index, job.attempts, error)
             job.not_before = time.monotonic() + self.retry.delay_s(job.attempts)
-            self._queue.append(job)
+            # Back to the front: a retry keeps the cell's place in line,
+            # so inline a failed cell is retried before the next starts.
+            self._queue.appendleft(job)
 
-    def _cell_killed_worker(self, job, why: str, wall: float) -> None:
+    def _cell_killed_worker(self, job: CellJob, why: str, wall: float) -> None:
         """A worker died (or stalled) with ``job`` in flight."""
         kills = self._kills.get(job.key, 0) + 1
         self._kills[job.key] = kills
@@ -375,11 +472,9 @@ class Supervisor:
                 f"supervisor: cell {job.index} ({job.key}) killed "
                 f"{kills} worker(s); quarantining as poisoned"
             )
-            self.record_failed(
-                job,
-                f"poisoned: cell killed {kills} worker(s); last: {why}",
-                wall,
-                error_kind=ERR_POISONED,
+            self._finish(
+                job, "failed", wall, error_kind=ERR_POISONED,
+                error=f"poisoned: cell killed {kills} worker(s); last: {why}",
             )
         else:
             self._attempt_failed(job, ERR_CRASH, why, wall)
@@ -389,25 +484,29 @@ class Supervisor:
         worker.proc.join(timeout=0.2)
         exitcode = worker.proc.exitcode
         job, worker.job = worker.job, None
-        if not worker.expected_death:
-            self.worker_restarts += 1
-            self.reporter.on_worker_restart(
-                worker.id,
-                f"worker {worker.id} died (exit {exitcode}) "
-                + (f"executing cell {job.index}" if job is not None else "idle"),
+        if worker.expected_death:
+            return
+        self.reporter.on_worker_restart(
+            worker.id,
+            f"worker {worker.id} died (exit {exitcode}) "
+            + (f"executing cell {job.index}" if job is not None else "idle"),
+        )
+        if job is not None:
+            wall = time.monotonic() - worker.dispatched_at
+            self._cell_killed_worker(
+                job, f"worker died abruptly (exit {exitcode})", wall
             )
-            if job is not None:
-                wall = time.monotonic() - worker.dispatched_at
-                self._cell_killed_worker(
-                    job, f"worker died abruptly (exit {exitcode})", wall
-                )
-        if self._want_respawn():
-            self._spawn()
 
     # -- dispatch / polling --------------------------------------------
 
     def _dispatch(self, now: float) -> None:
         if self._draining:
+            return
+        if not self.n_workers:
+            job = self._next_eligible(now)
+            while job is not None:
+                self._run_inline(job)
+                job = self._next_eligible(time.monotonic())
             return
         idle = [w for w in self._workers if w.job is None]
         for worker in idle:
@@ -420,21 +519,42 @@ class Supervisor:
                 worker.conn.send(("run", job.seq, job.config))
             except (OSError, ValueError):
                 # Dying worker: put the cell back; the sentinel path
-                # will account for the corpse and respawn.
+                # will account for the corpse.
                 self._queue.appendleft(job)
                 continue
             worker.job = job
             worker.dispatched_at = now
             job.started = now
 
-    def _next_eligible(self, now: float):
-        """Next queued job not still backing off (rotates the rest)."""
-        for _ in range(len(self._queue)):
-            job = self._queue.popleft()
-            if job.not_before > now:
-                self._queue.append(job)
-                continue
-            return job
+    def _run_inline(self, job: CellJob) -> None:
+        """Execute one cell on this thread: the zero-worker dispatch."""
+        job.started = time.monotonic()
+        started = time.perf_counter()
+        try:
+            payload = self.fn(job.config)
+            kind = "ok"
+        except KeyboardInterrupt:
+            self._finish(
+                job, "interrupted", time.perf_counter() - started,
+                error="interrupted while executing",
+            )
+            raise
+        except Exception as exc:
+            kind, payload = classify_exception(exc), format_error(exc)
+        wall = time.perf_counter() - started
+        self._attempt_done(job, kind, payload, wall, peak_rss_mb())
+
+    def _next_eligible(self, now: float) -> Optional[CellJob]:
+        """Pop the first queued job not still backing off.
+
+        Indexing (not iterating) keeps this safe against another thread
+        appending to the queue meanwhile.
+        """
+        for i in range(len(self._queue)):
+            job = self._queue[i]
+            if job.not_before <= now:
+                del self._queue[i]
+                return job
         return None
 
     def _poll_timeout(self, now: float) -> float:
@@ -487,23 +607,15 @@ class Supervisor:
                 msg = worker.conn.recv()
             except (EOFError, OSError):
                 return False
-            tag = msg[0]
             worker.last_seen = time.monotonic()
-            if tag in ("hb", "ready"):
-                continue
-            if tag != "done":
-                continue
+            if msg[0] != "done":
+                continue  # "hb" / "ready": last_seen is all they carry
             _, seq, kind, payload, wall, rss = msg
             job = worker.job
             if job is None or job.seq != seq:
                 continue  # stale reply from a cell already accounted for
             worker.job = None
-            worker.cells_done += 1
-            job.peak_rss_mb = rss
-            if kind == "ok":
-                self.record_ok(job, payload, wall)
-            else:
-                self._attempt_failed(job, kind, payload, wall)
+            self._attempt_done(job, kind, payload, wall, rss)
 
     def _enforce_deadlines(self) -> None:
         now = time.monotonic()
@@ -514,7 +626,6 @@ class Supervisor:
                 if running_for > self.timeout_s:
                     worker.job = None
                     job.worker_restarts += 1
-                    self.worker_restarts += 1
                     self.reporter.on_worker_restart(
                         worker.id,
                         f"worker {worker.id} preempted: cell {job.index} "
@@ -527,12 +638,9 @@ class Supervisor:
                         f"TimeoutError: cell exceeded {self.timeout_s}s",
                         running_for,
                     )
-                    if self._want_respawn():
-                        self._spawn()
                     continue
             if now - worker.last_seen > self.liveness_s and worker.proc.is_alive():
                 worker.job = None
-                self.worker_restarts += 1
                 self.reporter.on_worker_restart(
                     worker.id,
                     f"worker {worker.id} stalled: no heartbeat for "
@@ -548,37 +656,37 @@ class Supervisor:
                         f"{now - worker.last_seen:.1f}s)",
                         wall,
                     )
-                if self._want_respawn():
-                    self._spawn()
 
     # -- the run -------------------------------------------------------
 
-    def run(self, pending: Deque) -> None:
-        """Execute every pending cell; returns when all are terminal.
+    def run(
+        self, queue: Deque[CellJob], stop: Optional[threading.Event] = None
+    ) -> None:
+        """Run ``queue`` until every cell in it is terminal.
 
-        Raises ``KeyboardInterrupt`` after a graceful drain when the
-        campaign is interrupted, mirroring the serial path's contract.
+        With ``stop`` None this returns once the queue is drained.
+        Otherwise other threads may keep appending (then :meth:`wake`),
+        and the loop returns once ``stop`` is set and nothing is queued
+        or executing. ``KeyboardInterrupt`` is re-raised after a
+        graceful drain.
         """
-        self._queue = pending
-        for _ in range(min(self.n_workers, len(pending))):
-            self._spawn()
+        self._queue = queue
         try:
             try:
-                self._loop()
+                while True:
+                    self._grow()
+                    self._dispatch(time.monotonic())
+                    if not (self._queue or self._busy()) and (
+                        stop is None or stop.is_set()
+                    ):
+                        return
+                    self._poll(self._poll_timeout(time.monotonic()))
+                    self._enforce_deadlines()
             except KeyboardInterrupt:
                 self._drain_interrupted()
                 raise
         finally:
             self._shutdown()
-
-    def _loop(self) -> None:
-        while self._queue or self._busy():
-            now = time.monotonic()
-            if not self._workers and (self._queue or self._busy()):
-                self._spawn()
-            self._dispatch(now)
-            self._poll(self._poll_timeout(now))
-            self._enforce_deadlines()
 
     def _drain_interrupted(self) -> None:
         """First Ctrl-C/SIGTERM: cancel the queue, drain executing cells."""
@@ -597,13 +705,13 @@ class Supervisor:
             for worker in list(self._workers):
                 job, worker.job = worker.job, None
                 if job is not None:
-                    self.record_interrupted(
-                        job, "interrupted while executing",
-                        now - worker.dispatched_at,
+                    self._finish(
+                        job, "interrupted", now - worker.dispatched_at,
+                        error="interrupted while executing",
                     )
                     self._kill(worker)
         for job in self._queue:
-            self.record_interrupted(job, "interrupted before start")
+            self._finish(job, "interrupted", 0.0, error="interrupted before start")
         self._queue.clear()
 
     def _shutdown(self) -> None:
@@ -623,39 +731,3 @@ class Supervisor:
             except OSError:
                 continue
         self._workers.clear()
-
-
-def run_supervised(
-    pending: Deque,
-    fn: Callable[[Any], Any],
-    retry: RetryPolicy,
-    workers: int,
-    timeout_s: Optional[float],
-    max_rss_mb: Optional[float],
-    reporter,
-    record_ok,
-    record_failed,
-    record_interrupted,
-    *,
-    heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-    poison_threshold: int = DEFAULT_POISON_THRESHOLD,
-) -> Supervisor:
-    """Run ``pending`` cells on a supervised worker fleet.
-
-    Returns the supervisor (its ``worker_restarts`` feeds the manifest).
-    """
-    supervisor = Supervisor(
-        fn,
-        workers=workers,
-        retry=retry,
-        reporter=reporter,
-        record_ok=record_ok,
-        record_failed=record_failed,
-        record_interrupted=record_interrupted,
-        timeout_s=timeout_s,
-        max_rss_mb=max_rss_mb,
-        heartbeat_s=heartbeat_s,
-        poison_threshold=poison_threshold,
-    )
-    supervisor.run(pending)
-    return supervisor

@@ -15,7 +15,7 @@ Layering (each module only imports downward):
 * :mod:`repro.serve.http` — hardened HTTP/1.1 + SSE primitives
 * :mod:`repro.serve.singleflight` — the in-flight dedup registry
 * :mod:`repro.serve.scheduler` — tenant fair queueing + admission
-* :mod:`repro.serve.executor` — service-mode supervised worker fleet
+* :mod:`repro.serve.executor` — the campaign supervisor on its own thread
 * :mod:`repro.serve.service` — campaign state, durability, recovery
 * :mod:`repro.serve.app` — routing, SSE streaming, signal handling
 * :mod:`repro.serve.cli` — the ``ibcc-repro serve`` entry point

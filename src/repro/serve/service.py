@@ -60,7 +60,8 @@ from repro.experiments.store import (
 )
 from repro.parallel.manifest import RunManifest
 from repro.parallel.retry import DEFAULT_CAMPAIGN_POLICY, RetryPolicy
-from repro.serve.executor import CampaignExecutor, CellDone
+from repro.parallel.supervisor import CellJob, CellOutcome
+from repro.serve.executor import CampaignExecutor
 from repro.serve.http import HttpError
 from repro.serve.scheduler import (
     AdmissionController,
@@ -503,30 +504,27 @@ class CampaignService:
                 cell.status = CELL_RUNNING
                 self._publish(campaign, "cell", cell.to_dict())
 
-    def _on_done(self, done: CellDone) -> None:
+    def _on_done(self, job: CellJob, outcome: CellOutcome) -> None:
         """Terminal event from the executor thread (runs on the loop)."""
-        self.admission.observe_wall(done.wall_seconds)
-        self._done_counts[done.status] = (
-            self._done_counts.get(done.status, 0) + 1
+        self.admission.observe_wall(outcome.wall_seconds)
+        self._done_counts[outcome.status] = (
+            self._done_counts.get(outcome.status, 0) + 1
         )
-        if done.dispatched_at is not None:
-            self._dispatch_wait_ms.add(
-                (done.dispatched_at - done.queued_at) * 1e3
-            )
-        flight = self.flights.land(done.key)
+        # ``job.started`` stays 0.0 when no worker ever took the cell.
+        if job.started:
+            self._dispatch_wait_ms.add((job.started - job.queued_at) * 1e3)
+        flight = self.flights.land(outcome.key)
         touched: List[Campaign] = []
         for campaign, cell in (flight.waiters if flight is not None else []):
-            cell.attempts = done.attempts
-            cell.wall_seconds = done.wall_seconds
-            cell.worker_restarts = done.worker_restarts
-            cell.peak_rss_mb = done.peak_rss_mb
-            if done.dispatched_at is not None:
-                cell.queue_wait_s = max(
-                    0.0, done.dispatched_at - cell.admitted_at
-                )
+            cell.attempts = outcome.attempts
+            cell.wall_seconds = outcome.wall_seconds
+            cell.worker_restarts = outcome.worker_restarts
+            cell.peak_rss_mb = outcome.peak_rss_mb
+            if job.started:
+                cell.queue_wait_s = max(0.0, job.started - cell.admitted_at)
             self._settle(
-                campaign, cell, done.status,
-                error=done.error, error_kind=done.error_kind,
+                campaign, cell, outcome.status,
+                error=outcome.error, error_kind=outcome.error_kind,
             )
             if campaign not in touched:
                 touched.append(campaign)

@@ -8,6 +8,7 @@ files carried in ``ExperimentConfig.name``.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import time
@@ -26,7 +27,6 @@ from repro.parallel import (
     RunManifest,
     derive_seed,
     run_campaign,
-    run_cells,
 )
 
 from tests.conftest import MICRO_SCALE
@@ -104,9 +104,9 @@ class TestDeriveSeed:
         assert derive_seed(7, 0) != derive_seed(8, 0)
 
     def test_reseed_from_rewrites_cell_seeds(self):
-        outcomes = run_cells(
+        outcomes = run_campaign(
             [micro_cfg(), micro_cfg()], run_fn=payload_fn, reseed_from=42
-        )
+        ).outcomes
         assert [o.config.seed for o in outcomes] == [
             derive_seed(42, 0),
             derive_seed(42, 1),
@@ -214,18 +214,22 @@ class TestParallelEquality:
 
     def test_outcomes_keep_submission_order(self):
         cfgs = [micro_cfg(name=f"cell{i}").with_(seed=i) for i in range(5)]
-        outcomes = run_cells(cfgs, jobs=2, run_fn=payload_fn)
+        outcomes = run_campaign(cfgs, jobs=2, run_fn=payload_fn).outcomes
         assert [o.index for o in outcomes] == list(range(5))
         assert [o.result for o in outcomes] == [f"ran:cell{i}:{i}" for i in range(5)]
 
 
 class TestFaultTolerance:
-    def test_failure_is_retried_then_recorded_not_raised(self):
+    # oversubscribe: jobs=2 runs on two workers even on a one-core host,
+    # so each case pins both the inline and the worker side.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_is_retried_then_recorded_not_raised(self, jobs):
         campaign = run_campaign(
             [micro_cfg(name="a"), micro_cfg(name="b")],
-            jobs=2,
+            jobs=jobs,
             run_fn=always_fail,
             retry=RetryPolicy(max_attempts=3),
+            oversubscribe=True,
         )
         assert [o.status for o in campaign.outcomes] == ["failed", "failed"]
         assert all(o.attempts == 3 for o in campaign.outcomes)
@@ -236,29 +240,39 @@ class TestFaultTolerance:
         records = campaign.manifest.failed_cells()
         assert len(records) == 2 and records[0].error
 
-    def test_flaky_cell_recovers_in_pool(self, tmp_path):
-        marker = str(tmp_path / "marker")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_flaky_cell_recovers(self, tmp_path, jobs):
+        markers = [str(tmp_path / "a"), str(tmp_path / "b")]
         campaign = run_campaign(
-            [micro_cfg(name=marker)],
-            jobs=2,
+            [micro_cfg(name=m) for m in markers],
+            jobs=jobs,
             run_fn=fail_once_via_marker,
             retry=RetryPolicy(max_attempts=3),
+            oversubscribe=True,
         )
-        (outcome,) = campaign.outcomes
-        assert outcome.status == "ok"
-        assert outcome.attempts == 2
-        assert outcome.result == "recovered"
+        assert [o.status for o in campaign.outcomes] == ["ok", "ok"]
+        assert [o.attempts for o in campaign.outcomes] == [2, 2]
+        assert [o.result for o in campaign.outcomes] == ["recovered"] * 2
+        assert campaign.manifest.retries == 2
 
-    def test_flaky_cell_recovers_serially(self, tmp_path):
-        marker = str(tmp_path / "marker")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_store_write_is_a_failed_cell(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        def full_disk(store, result):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(ResultStore, "save", full_disk)
+        path = str(tmp_path / "run.json")
         campaign = run_campaign(
-            [micro_cfg(name=marker)],
-            jobs=1,
-            run_fn=fail_once_via_marker,
-            retry=RetryPolicy(max_attempts=2),
+            micro_grid((1, 2)), jobs=jobs, cache=str(tmp_path / "store"),
+            manifest_path=path, oversubscribe=True,
         )
-        assert campaign.outcomes[0].status == "ok"
-        assert campaign.manifest.retries == 1
+        for outcome in campaign.outcomes:
+            assert (outcome.status, outcome.error_kind) == ("failed", "sim")
+            assert outcome.error.startswith("result could not be stored: ")
+            assert "No space left on device" in outcome.error
+        assert RunManifest.load(path).complete
 
     def test_timeout_surfaces_as_failed_record(self):
         campaign = run_campaign(
@@ -415,7 +429,7 @@ class TestManifestAndProgress:
         clock = iter([0.0, 10.0, 20.0, 30.0]).__next__
         reporter = ProgressReporter(clock=lambda: 0.0)
         reporter.start(total=4, jobs=2)
-        from repro.parallel.pool import CellOutcome
+        from repro.parallel import CellOutcome
 
         reporter.on_outcome(CellOutcome(
             index=0, config=None, key="k", status="ok",
@@ -423,6 +437,16 @@ class TestManifestAndProgress:
         ))
         # 3 cells left at 10s each over 2 workers.
         assert reporter.eta_seconds() == pytest.approx(15.0)
+
+
+    def test_eta_divides_by_the_processes_that_run(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        reporter = ProgressReporter()
+        run_campaign(
+            [micro_cfg(name=f"c{i}").with_(seed=i) for i in range(3)],
+            jobs=4, run_fn=payload_fn, progress=reporter,
+        )
+        assert reporter.jobs == 1
 
 
 class TestValidation:

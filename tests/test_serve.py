@@ -235,7 +235,8 @@ class TestExecutorHandOff:
         done: queue.Queue = queue.Queue()
         executor = CampaignExecutor(
             loop=_InlineLoop(), store=ResultStore(str(tmp_path / "store")),
-            on_done=done.put, workers=1, retry=NO_RETRY,
+            on_done=lambda job, outcome: done.put((job, outcome)),
+            workers=1, retry=NO_RETRY,
             sim_log=str(sim_log), heartbeat_s=5.0,
         )
         executor.start()
@@ -254,9 +255,9 @@ class TestExecutorHandOff:
                         f"cell {seed} not dispatched within 1 s of submit"
                     )
                     time.sleep(0.002)
-                outcome = done.get(timeout=60)
+                job, outcome = done.get(timeout=60)
                 assert (outcome.key, outcome.status) == (key, "ok")
-                assert 0.0 <= outcome.dispatched_at - outcome.queued_at < 1.0
+                assert 0.0 <= job.started - job.queued_at < 1.0
         finally:
             asked = time.monotonic()
             assert executor.stop(timeout_s=30)

@@ -39,8 +39,7 @@ from repro.parallel import (
     RunManifest,
     run_campaign,
 )
-from repro.parallel.pool import _CellJob
-from repro.parallel.supervisor import Supervisor
+from repro.parallel.supervisor import CellJob, Supervisor
 
 from tests.conftest import MICRO_SCALE, descendants, wait_processes_gone
 
@@ -569,11 +568,9 @@ class _Recorder:
     def on_worker_restart(self, worker_id, line):
         self.worker_restarts += 1
 
-    def record_ok(self, job, result, wall):
+    def on_done(self, job, outcome):
+        assert outcome.status == "ok", f"cell {job.index}: {outcome.error}"
         self.ok.append(job.index)
-
-    def record_bad(self, job, error, wall=0.0, **kw):
-        raise AssertionError(f"cell {job.index}: {error}")
 
 
 class TestWakeChannel:
@@ -581,8 +578,7 @@ class TestWakeChannel:
         rec = _Recorder()
         sup = Supervisor(
             _report_pid, workers=2, retry=RetryPolicy(max_attempts=1),
-            reporter=rec, record_ok=rec.record_ok,
-            record_failed=rec.record_bad, record_interrupted=rec.record_bad,
+            reporter=rec, on_done=rec.on_done,
         )
         # More wakes than a pipe buffer holds: wake() must never block.
         for _ in range(40_000):
@@ -597,7 +593,7 @@ class TestWakeChannel:
         thread.start()
         try:
             sup.run(deque(
-                _CellJob(index=i, config={"cell": i}, key=str(i))
+                CellJob(index=i, config={"cell": i}, key=str(i))
                 for i in range(12)
             ))
         finally:
@@ -605,4 +601,4 @@ class TestWakeChannel:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert sorted(rec.ok) == list(range(12))
-        assert (sup.worker_restarts, rec.retries, rec.worker_restarts) == (0, 0, 0)
+        assert (rec.retries, rec.worker_restarts) == (0, 0)
