@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
+from repro.engine.rng import RngStream
 from repro.faults.spec import ChaosSpec, FaultSchedule, FaultSpec
 
 # Chaos faults start inside this fraction of the run [lo, hi).
@@ -29,7 +28,7 @@ _DUR_LO = 0.02
 _DUR_HI = 0.15
 
 
-def _window(rng: np.random.Generator, sim_time_ns: float) -> tuple:
+def _window(rng: RngStream, sim_time_ns: float) -> tuple:
     at = float(rng.uniform(_START_LO, _START_HI)) * sim_time_ns
     duration = float(rng.uniform(_DUR_LO, _DUR_HI)) * sim_time_ns
     return at, duration
@@ -52,11 +51,9 @@ def chaos_schedule(
         return FaultSchedule()
     # Chaos expansion runs at config time, before any RngRegistry
     # exists (the schedule itself becomes part of the config/store
-    # key). A private generator seeded only by (0xFA417, spec.seed)
-    # keeps the expansion a pure function of the spec.
-    rng = np.random.Generator(np.random.PCG64(  # simlint: disable=DET001
-        np.random.SeedSequence([0xFA417, int(spec.seed)])
-    ))
+    # key). A private stream seeded only by (0xFA417, spec.seed) keeps
+    # the expansion a pure function of the spec.
+    rng = RngStream([0xFA417, int(spec.seed)])
     sim_ms = sim_time_ns / 1e6
     n_switches = len(topology.switches)
     n_hosts = topology.n_hosts
@@ -65,7 +62,7 @@ def chaos_schedule(
     n_leaves = meta.get("n_leaves")
     n_spines = meta.get("n_spines")
 
-    def fabric_port(rng: np.random.Generator) -> tuple:
+    def fabric_port(rng: RngStream) -> tuple:
         """A (switch, port) pick biased to fabric-internal links."""
         if hosts_per_leaf is not None and n_leaves and n_spines:
             leaf = int(rng.integers(n_leaves))

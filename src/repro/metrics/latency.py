@@ -8,16 +8,14 @@ source HCA) and reports percentiles per node group — handy for showing
 *victim* latency collapsing when CC prunes the tree.
 
 Implementation note: samples are kept in plain lists and reduced with
-numpy on demand; at the bench scales used here (1e5..1e6 packets) this
-is cheaper than maintaining online quantile sketches and exact rather
-than approximate.
+numpy on demand (imported there, so recording needs no numpy); at the
+bench scales used here (1e5..1e6 packets) this is cheaper than
+maintaining online quantile sketches and exact rather than approximate.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
-
-import numpy as np
 
 from repro.network.packet import Packet
 
@@ -69,6 +67,7 @@ class LatencyTracker:
             merged.extend(pool)
         if not merged:
             raise ValueError("no latency samples recorded")
+        import numpy as np
         arr = np.asarray(merged)
         return {q: float(np.percentile(arr, q)) for q in qs}
 
@@ -80,6 +79,7 @@ class LatencyTracker:
         else:
             pools = (self.samples_ns.get(n, []) for n in nodes)
         merged = [v for pool in pools for v in pool]
+        import numpy as np
         return float(np.mean(merged))
 
     def count(self) -> int:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import numpy as np
-
+from repro.engine.rng import RngStream
 from repro.network.packet import Packet
 from repro.traffic.generators import BNodeSource
 
@@ -36,7 +35,7 @@ class BurstySource(BNodeSource):
         node_id: int,
         n_nodes: int,
         p: float,
-        rng: np.random.Generator,
+        rng: RngStream,
         *,
         burst_ns: float = 100_000.0,
         idle_ns: float = 100_000.0,

@@ -26,8 +26,7 @@ from __future__ import annotations
 from math import inf
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
+from repro.engine.rng import RngStream
 from repro.network.packet import Packet
 from repro.traffic.budgets import TokenBudget
 
@@ -63,7 +62,7 @@ class BNodeSource:
         node_id: int,
         n_nodes: int,
         p: float,
-        rng: np.random.Generator,
+        rng: RngStream,
         *,
         inj_rate_gbps: float = 13.5,
         mtu: int = 2048,
@@ -210,7 +209,7 @@ class FixedRateSource(BNodeSource):
         n_nodes: int,
         dst: int,
         rate_gbps: float,
-        rng: np.random.Generator,
+        rng: RngStream,
         **kwargs,
     ) -> None:
         if dst == node_id:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-import numpy as np
+from repro.engine.rng import RngStream
 
 
 class HotspotSchedule:
@@ -50,7 +50,7 @@ class HotspotSchedule:
         *,
         lifetime_ns: Optional[float] = None,
         candidates: Optional[Sequence[int]] = None,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[RngStream] = None,
     ) -> None:
         if not initial:
             raise ValueError("need at least one hotspot subset")
@@ -108,7 +108,7 @@ class HotspotSchedule:
         cls,
         n_subsets: int,
         n_nodes: int,
-        rng: np.random.Generator,
+        rng: RngStream,
         *,
         lifetime_ns: Optional[float] = None,
     ) -> "HotspotSchedule":

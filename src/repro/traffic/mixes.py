@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-import numpy as np
+from repro.engine.rng import RngStream
 
 
 @dataclass
@@ -54,7 +54,7 @@ def assign_roles(
     b_fraction: float,
     n_subsets: int,
     hotspots: List[int],
-    rng: np.random.Generator,
+    rng: RngStream,
     c_fraction_of_rest: float = 0.8,
 ) -> NodeMix:
     """Build the paper's node mix.

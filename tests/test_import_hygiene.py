@@ -15,7 +15,7 @@ import pytest
 import repro
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-HEAVY = ("networkx", "scipy", "matplotlib")
+HEAVY = ("numpy", "networkx", "scipy", "matplotlib")
 
 REPORT = (
     "import sys; "
@@ -45,6 +45,47 @@ def run_python(*args: str) -> str:
 def test_heavy_libraries_stay_unloaded(statement):
     out = run_python("-c", statement + "\n" + REPORT)
     assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_a_traced_cc_transport_run_leaves_numpy_unloaded():
+    # RNG streams are pure Python: seeding, traffic, hotspot moves,
+    # transport jitter and the trace layer draw without numpy.
+    out = run_python("-c", (
+        "import sys\n"
+        "from repro.experiments.config import ExperimentConfig, ScaleProfile\n"
+        "from repro.experiments.runner import run_experiment\n"
+        "from repro.transport.config import TransportConfig\n"
+        "scale = ScaleProfile(name='micro', radix=4, n_hotspots=2,\n"
+        "    sim_time_ns=1e6, warmup_ns=0.5e6, cct_slope=0.5,\n"
+        "    moving_sim_time_ns=1e6, moving_lifetimes_ns=(0.25e6,),\n"
+        "    marking_rate=3)\n"
+        "cfg = ExperimentConfig(scale=scale, cc=True, b_fraction=0.5,\n"
+        "    hotspot_lifetime_ns=0.25e6, transport=TransportConfig())\n"
+        "res = run_experiment(cfg, trace=True)\n"
+        "assert res.trace_records > 0 and not res.trace_violations\n"
+        + REPORT
+    ))
+    assert out.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("use", [
+    "from repro.traffic.bursty import BurstySource\n"
+    "BurstySource(0, 4, 0.0, RngRegistry(1).stream('g'))\n",
+    "from repro.faults import ChaosSpec, chaos_schedule\n"
+    "from repro.topology import three_stage_fat_tree\n"
+    "chaos_schedule(ChaosSpec(seed=3, link_flap=1.0),\n"
+    "               topology=three_stage_fat_tree(4), sim_time_ns=4e6)\n",
+])
+def test_handed_off_draws_load_numpy_on_first_use(use):
+    # Exponential and Poisson draws go through numpy's Generator.
+    out = run_python("-c", (
+        "import sys\n"
+        "from repro.engine import RngRegistry\n"
+        "assert 'numpy' not in sys.modules\n"
+        + use +
+        "print('numpy' in sys.modules)\n"
+    ))
+    assert out.strip() == "True"
 
 
 def test_topology_from_graph_loads_networkx_on_first_use():
