@@ -48,10 +48,11 @@ def atomic_write_json(path: str, data) -> None:
     in-progress bytes: each finishes its own complete temp file and the
     replaces serialize to last-writer-wins on the final path.
     """
+    text = json.dumps(data)
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(data, fh)
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -117,7 +118,12 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def config_key(cfg: ExperimentConfig) -> str:
     """A stable content hash of the full configuration."""
-    blob = json.dumps(config_to_dict(cfg), sort_keys=True)
+    return config_dict_key(config_to_dict(cfg))
+
+
+def config_dict_key(data: dict) -> str:
+    """:func:`config_key` of a config already run through :func:`config_to_dict`."""
+    blob = json.dumps(data, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

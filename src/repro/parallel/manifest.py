@@ -114,6 +114,8 @@ class RunManifest:
         else:
             self.ok += 1
         self.worker_seconds += outcome.wall_seconds
+        # The daemon's live cell states carry no result.
+        result = getattr(outcome, "result", None)
         self.cells.append(
             CellRecord(
                 index=outcome.index,
@@ -125,11 +127,11 @@ class RunManifest:
                 error=outcome.error,
                 error_kind=getattr(outcome, "error_kind", None),
                 worker_restarts=getattr(outcome, "worker_restarts", 0),
-                digest=getattr(outcome.result, "trace_digest", None),
+                digest=getattr(result, "trace_digest", None),
                 failed_flows=(
-                    getattr(outcome.result, "failed_flows", None)
-                    if getattr(outcome.result, "config", None) is not None
-                    and getattr(outcome.result.config, "transport", None)
+                    getattr(result, "failed_flows", None)
+                    if getattr(result, "config", None) is not None
+                    and getattr(result.config, "transport", None)
                     is not None
                     else None
                 ),

@@ -17,7 +17,8 @@ admission sheds the load, and ``503`` while draining. SIGTERM/SIGINT
 trigger the graceful drain: the listener closes (no new admissions),
 executing cells finish within the drain budget, every manifest that
 changed is flushed, and the process exits — a subsequent start replays the
-manifests (see :meth:`~repro.serve.service.CampaignService.recover`).
+admission journal and the manifests (see
+:meth:`~repro.serve.service.CampaignService.recover`).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 #: Hard limits an untrusted client cannot exceed.
@@ -226,7 +226,3 @@ class SSEStream:
         self._writer.write(f": {text}\n\n".encode())
         await self._writer.drain()
 
-
-def route_key(method: str, parts: Tuple[str, ...]) -> str:
-    """A compact log label like ``GET /v1/campaigns/{id}``."""
-    return f"{method} /" + "/".join(parts)

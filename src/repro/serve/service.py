@@ -9,10 +9,12 @@ makes the single-flight registry race-free without locks.
 
 Durability model (everything under ``<store>/serve/``):
 
-* ``campaigns/<id>.json`` — the campaign *spec*: tenant, priority,
-  cancellation flag and the full config of every cell. It is the one
-  durable write of a submission (tmp file + fsync + ``os.replace``,
-  done before the 202 is sent) and is rewritten on cancel;
+* ``campaigns.jsonl`` — the admission *journal*, one JSON spec per
+  line: tenant, priority, cancellation flag and every cell's config.
+  A submission's one durable write is its line: one ``os.write`` to an
+  ``O_APPEND`` descriptor held open until drain ends, then
+  ``os.fdatasync``, before the 202 is sent. A cancel appends the
+  updated spec; the latest line per id wins;
 * ``campaigns/<id>.manifest.json`` — a standard
   :class:`~repro.parallel.manifest.RunManifest` holding the terminal
   cells. It is flushed when execution makes a cell terminal, on
@@ -26,8 +28,11 @@ Durability model (everything under ``<store>/serve/``):
   started (written by workers, see
   :class:`~repro.serve.executor.SimRunner`).
 
-On startup :meth:`CampaignService.recover` replays the specs in
-submission order: cells whose key is already in the
+On startup :meth:`CampaignService.recover` reads the journal in one
+pass (skipping lines that do not parse, cutting a torn tail back to
+the last newline) and replays it in submission order; old-layout
+``campaigns/<id>.json`` specs are counted, not replayed. Cells whose
+key is already in the
 :class:`~repro.experiments.store.ResultStore` come back as ``cached``
 (never re-simulated), cells their manifest recorded as ``failed`` are
 replayed as failed records (a poisoned cell must not burn workers
@@ -42,21 +47,22 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
 import logging
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.config import SCALES, ConfigError
 from repro.experiments.store import (
     ResultStore,
-    atomic_write_json,
+    config_dict_key,
     config_from_dict,
     config_key,
     config_to_dict,
-    load_json_or_quarantine,
 )
 from repro.parallel.manifest import RunManifest
 from repro.parallel.retry import DEFAULT_CAMPAIGN_POLICY, RetryPolicy
@@ -124,38 +130,15 @@ class CellState:
     #: ran it (cached, cancelled or interrupted while queued).
     queue_wait_s: Optional[float] = None
 
+    #: What a client sees of a cell: everything but config and clock.
+    PUBLIC = (
+        "index", "key", "status", "dedup", "attempts", "wall_seconds",
+        "queue_wait_s", "error", "error_kind", "worker_restarts",
+        "peak_rss_mb", "replayed",
+    )
+
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "key": self.key,
-            "status": self.status,
-            "dedup": self.dedup,
-            "attempts": self.attempts,
-            "wall_seconds": self.wall_seconds,
-            "queue_wait_s": self.queue_wait_s,
-            "error": self.error,
-            "error_kind": self.error_kind,
-            "worker_restarts": self.worker_restarts,
-            "peak_rss_mb": self.peak_rss_mb,
-            "replayed": self.replayed,
-        }
-
-
-@dataclass
-class _OutcomeView:
-    """Adapter: a CellState viewed as a manifest-compatible outcome."""
-
-    index: int
-    config: Any
-    key: str
-    status: str
-    attempts: int
-    wall_seconds: float
-    error: Optional[str]
-    error_kind: Optional[str]
-    worker_restarts: int
-    peak_rss_mb: Optional[float]
-    result: Any = None
+        return {name: getattr(self, name) for name in self.PUBLIC}
 
 
 @dataclass
@@ -173,28 +156,24 @@ class Campaign:
     #: (or found on disk by recovery); no manifest counts as an empty one.
     flushed: Tuple[Tuple[str, str], ...] = ()
 
+    #: The fields a journal line and a summary both lead with.
+    HEAD = ("id", "tenant", "priority", "created_at", "cancelled")
+
     @property
     def done(self) -> bool:
         return all(c.status in TERMINAL_STATES for c in self.cells)
 
     def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for cell in self.cells:
-            out[cell.status] = out.get(cell.status, 0) + 1
-        return out
+        return dict(Counter(cell.status for cell in self.cells))
 
     def summary(self, *, include_cells: bool = False) -> dict:
-        out = {
-            "id": self.id,
-            "tenant": self.tenant,
-            "priority": self.priority,
-            "created_at": self.created_at,
-            "cancelled": self.cancelled,
-            "done": self.done,
-            "total": len(self.cells),
-            "counts": self.counts(),
-            "dedup_joins": sum(1 for c in self.cells if c.dedup),
-        }
+        out = {name: getattr(self, name) for name in self.HEAD}
+        out.update(
+            done=self.done,
+            total=len(self.cells),
+            counts=self.counts(),
+            dedup_joins=sum(1 for c in self.cells if c.dedup),
+        )
         if include_cells:
             out["cells"] = [c.to_dict() for c in self.cells]
         return out
@@ -255,6 +234,9 @@ class CampaignService:
         self.serve_dir = os.path.join(store_dir, "serve")
         self.campaigns_dir = os.path.join(self.serve_dir, "campaigns")
         os.makedirs(self.campaigns_dir, exist_ok=True)
+        self.journal_path = os.path.join(self.serve_dir, "campaigns.jsonl")
+        #: The journal's O_APPEND descriptor, opened by the first append.
+        self._journal_fd: Optional[int] = None
         self.sim_log = os.path.join(self.serve_dir, "sim.log")
         self.workers = max(1, workers)
         self.limits = limits or AdmissionLimits()
@@ -311,14 +293,7 @@ class CampaignService:
             "drain: shedding %d queued flight(s), waiting on %d executing",
             len(dropped), self.executor.executing() if self.executor else 0,
         )
-        for flight in dropped:
-            flight.state = FLIGHT_CANCELLED
-            self.flights.land(flight.key)
-            for campaign, cell in flight.waiters:
-                self._settle(
-                    campaign, cell, CELL_INTERRUPTED,
-                    error="daemon drained before the cell started",
-                )
+        self._interrupt(dropped, "daemon drained before the cell started")
         # Manifest writes are file I/O: off the loop thread (CON001) so
         # SSE streams keep flowing while drain checkpoints.
         await loop.run_in_executor(None, self._checkpoint_all)
@@ -335,17 +310,24 @@ class CampaignService:
                     "executing cell(s)", self.drain_timeout_s,
                 )
 
-        for flight in self.flights.all():
-            self.flights.land(flight.key)
-            for campaign, cell in flight.waiters:
-                if cell.status not in TERMINAL_STATES:
-                    self._settle(
-                        campaign, cell, CELL_INTERRUPTED,
-                        error="daemon stopped while the cell was executing",
-                    )
+        self._interrupt(
+            self.flights.all(), "daemon stopped while the cell was executing"
+        )
         await loop.run_in_executor(None, self._checkpoint_all)
         for campaign in self.campaigns.values():
             self._publish(campaign, "drain", {"draining": True})
+        if self._journal_fd is not None:
+            os.close(self._journal_fd)
+            self._journal_fd = None
+
+    def _interrupt(self, flights: List[Any], error: str) -> None:
+        """Land ``flights``; their unfinished cells become interrupted."""
+        for flight in flights:
+            flight.state = FLIGHT_CANCELLED
+            self.flights.land(flight.key)
+            for campaign, cell in flight.waiters:
+                if cell.status not in TERMINAL_STATES:
+                    self._settle(campaign, cell, CELL_INTERRUPTED, error=error)
 
     # -- submission ----------------------------------------------------
 
@@ -362,7 +344,7 @@ class CampaignService:
         # Admission counts only flights this submission would *open*:
         # cached keys and joins of open flights add no simulation load.
         new_keys = {
-            key for _, key in parsed
+            key for _, key, _ in parsed
             if not self.store.contains_key(key) and key not in self.flights
         }
         try:
@@ -386,14 +368,14 @@ class CampaignService:
             priority=priority,
             created_at=time.time(),
         )
-        for i, (cfg, key) in enumerate(parsed):
+        for i, (cfg, key, _) in enumerate(parsed):
             cell = CellState(index=i, key=key, config=cfg)
             campaign.cells.append(cell)
             self._attach(campaign, cell)
         self.campaigns[campaign.id] = campaign
-        # The spec is the submission's one durable write; see the
-        # module docstring for why no manifest is needed yet.
-        self._save_spec(campaign)
+        # The journal line is the submission's one durable write; see
+        # the module docstring for why no manifest is needed yet.
+        self._journal(campaign, [data for _, _, data in parsed])
         self._pump()
         return campaign
 
@@ -420,14 +402,16 @@ class CampaignService:
             raise HttpError(400, "'priority' must be an integer in [0, 100]")
         return cells, tenant, priority
 
-    def _parse_cells(self, cells_data: list) -> List[Tuple[Any, str]]:
-        """Each cell dict → (validated ExperimentConfig, config key).
+    def _parse_cells(self, cells_data: list) -> List[Tuple[Any, str, dict]]:
+        """Each cell dict → (validated config, its key, its full dict).
+
+        The full dict is serialized once, for the key and the journal.
 
         Collects *every* problem before raising so one 400 names every
         bad cell instead of failing them one at a time.
         """
         problems: List[dict] = []
-        out: List[Tuple[Any, str]] = []
+        out: List[Tuple[Any, str, dict]] = []
         for i, data in enumerate(cells_data):
             if not isinstance(data, dict):
                 problems.append({"cell": i, "error": "cell must be an object"})
@@ -455,7 +439,8 @@ class CampaignService:
             except ConfigError as exc:
                 problems.append({"cell": i, "error": str(exc)})
                 continue
-            out.append((cfg, config_key(cfg)))
+            full = config_to_dict(cfg)
+            out.append((cfg, config_dict_key(full), full))
         if problems:
             raise HttpError(
                 400,
@@ -574,7 +559,9 @@ class CampaignService:
             self._settle(
                 campaign, cell, CELL_CANCELLED, error="cancelled by client"
             )
-        self._save_spec(campaign)
+        self._journal(
+            campaign, [config_to_dict(c.config) for c in campaign.cells]
+        )
         self._checkpoint(campaign)
         self._publish(campaign, "campaign", campaign.summary())
         return campaign
@@ -582,19 +569,13 @@ class CampaignService:
     # -- recovery ------------------------------------------------------
 
     def recover(self) -> dict:
-        """Replay campaign specs + manifests from a prior incarnation."""
-        specs = []
-        for name in sorted(os.listdir(self.campaigns_dir)):
-            if name.endswith(".manifest.json") or not name.endswith(".json"):
-                continue
-            data = load_json_or_quarantine(
-                os.path.join(self.campaigns_dir, name)
-            )
-            if data is None or "id" not in data or "cells" not in data:
-                log.warning("recover: skipping unreadable spec %s", name)
-                continue
-            specs.append(data)
-        specs.sort(key=lambda d: d.get("created_at", 0.0))
+        """Replay the journal's campaigns + manifests from a prior incarnation."""
+        specs = self._read_journal()
+        stale = sum(1 for name in os.listdir(self.campaigns_dir)
+                    if name.endswith(".json") and ".manifest." not in name)
+        if stale:
+            log.warning("recover: %d old-layout campaigns/<id>.json spec(s) "
+                        "found; they are not replayed", stale)
 
         requeued = cached = replayed_failed = 0
         for data in specs:
@@ -674,24 +655,57 @@ class CampaignService:
 
     # -- durability ----------------------------------------------------
 
-    def _spec_path(self, campaign_id: str) -> str:
-        return os.path.join(self.campaigns_dir, f"{campaign_id}.json")
-
     def _manifest_path(self, campaign_id: str) -> str:
         return os.path.join(self.campaigns_dir, f"{campaign_id}.manifest.json")
 
-    def _save_spec(self, campaign: Campaign) -> None:
-        atomic_write_json(self._spec_path(campaign.id), {
-            "id": campaign.id,
-            "tenant": campaign.tenant,
-            "priority": campaign.priority,
-            "created_at": campaign.created_at,
-            "cancelled": campaign.cancelled,
-            "cells": [
-                {"key": c.key, "config": config_to_dict(c.config)}
-                for c in campaign.cells
-            ],
-        })
+    def _read_journal(self) -> List[dict]:
+        """The latest spec per campaign id, in first-admission order."""
+        try:
+            with open(self.journal_path, "rb") as fh:
+                blob = fh.read()
+        except FileNotFoundError:
+            return []
+        end = blob.rfind(b"\n") + 1
+        if end < len(blob):  # a torn tail: the next append must not glue on
+            log.warning("recover: cutting a torn %d-byte journal tail",
+                        len(blob) - end)
+            os.truncate(self.journal_path, end)
+        specs: Dict[str, dict] = {}
+        skipped = 0
+        for line in blob[:end].splitlines():
+            try:
+                data = json.loads(line)
+                if isinstance(data.get("cells"), list):
+                    specs[data["id"]] = data
+                    continue
+            except (ValueError, AttributeError, KeyError, TypeError):
+                pass
+            skipped += 1
+        if skipped:
+            log.warning("recover: skipped %d unreadable journal line(s)", skipped)
+        return list(specs.values())
+
+    def _journal(self, campaign: Campaign, configs: List[dict]) -> None:
+        """Append the campaign's spec as one line and fdatasync it.
+
+        ``configs`` holds each cell's :func:`config_to_dict` output.
+        """
+        spec = {name: getattr(campaign, name) for name in Campaign.HEAD}
+        spec["cells"] = [{"key": cell.key, "config": data}
+                         for cell, data in zip(campaign.cells, configs)]
+        if self._journal_fd is None:
+            created = not os.path.exists(self.journal_path)
+            self._journal_fd = os.open(
+                self.journal_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
+            )
+            if created:  # a new file's name is durable once its directory is
+                dir_fd = os.open(self.serve_dir, os.O_RDONLY)
+                try:
+                    os.fsync(dir_fd)
+                finally:
+                    os.close(dir_fd)
+        os.write(self._journal_fd, (json.dumps(spec) + "\n").encode())
+        os.fdatasync(self._journal_fd)
 
     def _checkpoint_all(self) -> None:
         for campaign in list(self.campaigns.values()):
@@ -706,22 +720,13 @@ class CampaignService:
         """
         manifest = RunManifest(jobs=self.workers)
         for cell in campaign.cells:
-            if cell.status not in TERMINAL_STATES:
-                continue
-            status, error = cell.status, cell.error
-            if status == CELL_CANCELLED:
+            if cell.status == CELL_CANCELLED:
                 # The manifest vocabulary has no "cancelled"; map it to
                 # interrupted (recovery skips the campaign anyway via
                 # the spec's cancelled flag).
-                status = CELL_INTERRUPTED
-            manifest.add(_OutcomeView(
-                index=cell.index, config=cell.config, key=cell.key,
-                status=status, attempts=cell.attempts,
-                wall_seconds=cell.wall_seconds, error=error,
-                error_kind=cell.error_kind,
-                worker_restarts=cell.worker_restarts,
-                peak_rss_mb=cell.peak_rss_mb,
-            ))
+                cell = dataclasses.replace(cell, status=CELL_INTERRUPTED)
+            if cell.status in TERMINAL_STATES:
+                manifest.add(cell)
         manifest.worker_restarts = sum(
             c.worker_restarts for c in campaign.cells
         )

@@ -104,10 +104,5 @@ class SingleFlight:
         """Remove and return the flight for ``key`` (terminal)."""
         return self._flights.pop(key, None)
 
-    def queued_flights(self) -> List[Flight]:
-        return [
-            f for f in self._flights.values() if f.state == FLIGHT_QUEUED
-        ]
-
     def all(self) -> List[Flight]:
         return list(self._flights.values())

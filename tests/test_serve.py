@@ -6,6 +6,9 @@ tests live in ``test_serve_replay.py``.
 """
 
 import asyncio
+import json
+import logging
+import os
 import queue
 import threading
 import time
@@ -13,7 +16,7 @@ import time
 import pytest
 
 from repro.experiments import ExperimentConfig
-from repro.experiments.store import ResultStore, config_key
+from repro.experiments.store import ResultStore, config_from_dict, config_key
 from repro.parallel.manifest import RunManifest
 from repro.parallel.retry import NO_RETRY
 from repro.serve.app import ServeApp
@@ -262,6 +265,118 @@ class TestExecutorHandOff:
             asked = time.monotonic()
             assert executor.stop(timeout_s=30)
         assert time.monotonic() - asked < 1.0
+
+
+# ---------------------------------------------------------------------------
+# units: the admission journal, driven without HTTP or workers
+
+
+async def _drain(service):
+    await service.drain(asyncio.get_running_loop())
+
+
+@pytest.fixture
+def journal_service(tmp_path):
+    """Services over one store; each drains (closing its journal) at teardown."""
+    made = []
+
+    def make():
+        service = CampaignService(str(tmp_path / "store"), workers=1)
+        made.append(service)
+        return service
+
+    yield make
+    for service in made:
+        asyncio.run(_drain(service))
+        assert service._journal_fd is None
+
+
+def _journal(service):
+    with open(service.journal_path, "rb") as fh:
+        return fh.read()
+
+
+class TestAdmissionJournal:
+    def test_each_admission_is_one_line_and_no_spec_file(self, journal_service):
+        service = journal_service()
+        campaigns = [service.submit([micro_cell(seed=s)]) for s in (1, 2, 2)]
+        records = [json.loads(line) for line in _journal(service).splitlines()]
+        assert [r["id"] for r in records] == [c.id for c in campaigns]
+        for record, campaign in zip(records, campaigns):
+            ((cell, written),) = zip(campaign.cells, record["cells"])
+            assert written["key"] == cell.key
+            assert config_from_dict(written["config"]) == cell.config
+        assert os.listdir(service.campaigns_dir) == []
+
+    def test_the_line_is_synced_before_submit_returns(
+        self, journal_service, monkeypatch
+    ):
+        service = journal_service()
+        synced = []
+        fdatasync = os.fdatasync
+        monkeypatch.setattr(
+            os, "fdatasync",
+            lambda fd: (fdatasync(fd), synced.append(_journal(service)))[0],
+        )
+        campaign = service.submit([micro_cell(seed=1)])
+        (on_disk,) = synced
+        assert json.loads(on_disk)["id"] == campaign.id
+
+    def test_a_cancels_later_line_wins_on_recovery(self, journal_service):
+        first = journal_service()
+        cid = first.submit([micro_cell(seed=1)]).id
+        first.cancel(cid)
+        assert len(_journal(first).splitlines()) == 2
+        second = journal_service()
+        assert second.recover()["campaigns"] == 1
+        assert second.get(cid).cancelled
+        assert [c.status for c in second.get(cid).cells] == ["cancelled"]
+
+    def test_a_corrupt_middle_line_is_skipped_and_counted(
+        self, journal_service, caplog
+    ):
+        first = journal_service()
+        ids = [first.submit([micro_cell(seed=s)]).id for s in (1, 2, 3)]
+        lines = _journal(first).splitlines(keepends=True)
+        with open(first.journal_path, "wb") as fh:
+            fh.write(lines[0] + b'{"id": "c-bad", "cel\n' + lines[2])
+        second = journal_service()
+        with caplog.at_level(logging.WARNING, logger="repro.serve"):
+            assert second.recover()["campaigns"] == 2
+        assert sorted(second.campaigns) == sorted([ids[0], ids[2]])
+        assert "skipped 1 unreadable journal line" in caplog.text
+
+    def test_a_torn_tail_is_cut_and_the_next_line_stands_alone(
+        self, journal_service
+    ):
+        first = journal_service()
+        ids = [first.submit([micro_cell(seed=s)]).id for s in (1, 2)]
+        whole = _journal(first)
+        with open(first.journal_path, "ab") as fh:
+            fh.write(b'{"id": "c-torn", "tenant": "def')
+        second = journal_service()
+        assert second.recover()["campaigns"] == 2
+        assert list(second.campaigns) == ids
+        assert _journal(second) == whole
+        later = second.submit([micro_cell(seed=3)]).id
+        records = [json.loads(line) for line in _journal(second).splitlines()]
+        assert [r["id"] for r in records] == ids + [later]
+
+    def test_an_old_layout_spec_file_is_reported_not_replayed(
+        self, journal_service, caplog
+    ):
+        first = journal_service()
+        old = os.path.join(first.campaigns_dir, "c-old.json")
+        with open(old, "w") as fh:
+            json.dump({"id": "c-old", "cells": [
+                {"config": micro_cell(seed=1)},
+            ]}, fh)
+        second = journal_service()
+        with caplog.at_level(logging.WARNING, logger="repro.serve"):
+            assert second.recover()["campaigns"] == 0
+        assert "1 old-layout campaigns/<id>.json spec(s)" in caplog.text
+        assert "c-old" not in second.campaigns
+        assert os.path.exists(old)
 
 
 # ---------------------------------------------------------------------------

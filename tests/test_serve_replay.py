@@ -71,6 +71,13 @@ def _end(proc, sig):
     return code
 
 
+def _journal_record(tmp_path, cid):
+    """The campaign's latest line in the daemon's admission journal."""
+    journal = tmp_path / "store" / "serve" / "campaigns.jsonl"
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    return [r for r in records if r["id"] == cid][-1]
+
+
 def _sim_log_keys(tmp_path):
     path = tmp_path / "store" / "serve" / "sim.log"
     if not path.exists():
@@ -150,7 +157,7 @@ def test_sigkill_mid_campaign_then_restart_replays_without_resimulating(
 
 @pytest.mark.slow
 def test_sigkill_before_any_manifest_recovers_from_the_specs_alone(tmp_path):
-    """The spec is a submission's only durable write: it must suffice."""
+    """The journal line is a submission's only durable write: it must suffice."""
     camp_dir = tmp_path / "store" / "serve" / "campaigns"
     seen = [micro_cell(seed=8200 + i) for i in range(2)]
     fresh = [micro_cell(seed=8210 + i) for i in range(3)]
@@ -162,14 +169,15 @@ def test_sigkill_before_any_manifest_recovers_from_the_specs_alone(tmp_path):
 
         # The single worker is kept busy, so the next campaign only queues.
         assert client.submit([micro_cell(seed=8220)]).status == 202
-        accepted = {}
+        accepted, journaled = {}, {}
         for name, cells in (("cached", seen), ("queued", fresh)):
             r = client.submit(cells, tenant=name)
             assert r.status == 202
             cid = accepted[name] = r.json()["id"]
             # Durable by the time the 202 is out...
-            spec = json.loads((camp_dir / f"{cid}.json").read_text())
+            spec = _journal_record(tmp_path, cid)
             assert len(spec["cells"]) == len(cells)
+            journaled[name] = [c["key"] for c in spec["cells"]]
             # ...and that is all there is.
             assert not (camp_dir / f"{cid}.manifest.json").exists()
     finally:
@@ -183,11 +191,13 @@ def test_sigkill_before_any_manifest_recovers_from_the_specs_alone(tmp_path):
     try:
         cached = client2.wait(accepted["cached"], timeout_s=180)
         assert [c["key"] for c in cached["cells"]] == seen_keys
+        assert journaled["cached"] == seen_keys
         for cell in cached["cells"]:
             assert (cell["status"], cell["replayed"]) == ("cached", True)
             assert client2.result_bytes(cell["key"]) == seen_bytes[cell["key"]]
 
         queued = client2.wait(accepted["queued"], timeout_s=180)
+        assert [c["key"] for c in queued["cells"]] == journaled["queued"]
         counts = queued["counts"]
         assert counts.get("ok", 0) + counts.get("cached", 0) == len(fresh)
         started_after = _sim_log_keys(tmp_path)
@@ -212,9 +222,9 @@ def test_sigterm_drains_checkpoints_and_exits_zero(tmp_path):
     time.sleep(0.5)
     assert _end(proc, signal.SIGTERM) == 0
 
-    # The spec and a valid manifest checkpoint survived the drain.
+    # The journaled spec and a valid manifest checkpoint survived the drain.
     camp_dir = tmp_path / "store" / "serve" / "campaigns"
-    spec = json.loads((camp_dir / f"{cid}.json").read_text())
+    spec = _journal_record(tmp_path, cid)
     assert [c["key"] for c in spec["cells"]]
     manifest = json.loads((camp_dir / f"{cid}.manifest.json").read_text())
     statuses = {c["status"] for c in manifest["cells"]}

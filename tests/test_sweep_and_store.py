@@ -5,11 +5,21 @@ import math
 
 import pytest
 
+from repro.cc.config import CCConfig
 from repro.core.parameters import CCParams
 from repro.experiments import ExperimentConfig
+from repro.experiments.config import SCALES
 from repro.experiments.runner import run_experiment
-from repro.experiments.store import ResultStore, config_key, result_from_dict, result_to_dict
+from repro.experiments.store import (
+    ResultStore,
+    config_dict_key,
+    config_key,
+    config_to_dict,
+    result_from_dict,
+    result_to_dict,
+)
 from repro.experiments.sweep import METRIC_FIELDS, SweepCell, SweepResult, sweep
+from repro.transport.config import TransportConfig
 
 from tests.conftest import MICRO_SCALE
 
@@ -156,6 +166,26 @@ class TestConfigKeyStability:
         pa = CCParams.paper_table1().with_(threshold=9)
         pb = CCParams.paper_table1().with_(threshold=10)
         assert config_key(micro_cfg(cc_params=pa)) != config_key(micro_cfg(cc_params=pb))
+
+
+class TestConfigKeyPins:
+    """Keys of stored results must never drift: an old store keeps hitting."""
+
+    PINNED = {
+        "046719ee4a5fc533": dict(seed=3),
+        "55cb074277d8a87e": dict(seed=7, cc=False, p=0.5),
+        "425819d5526563b6": dict(
+            seed=3, cc_params=CCParams.paper_table1().with_(threshold=9)
+        ),
+        "6497d92379d68aab": dict(seed=3, transport=TransportConfig()),
+        "6bc1a5f37e434906": dict(seed=3, cc_config=CCConfig(mechanism="dcqcn")),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_key_is_pinned(self, key):
+        cfg = ExperimentConfig(scale=SCALES["quick"], **self.PINNED[key])
+        assert config_key(cfg) == key
+        assert config_dict_key(config_to_dict(cfg)) == key
 
 
 class TestResultStore:
