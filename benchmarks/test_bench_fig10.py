@@ -8,21 +8,16 @@ pattern itself alleviates congestion.
 
 import pytest
 
-from repro.experiments import run_moving_figure
+from repro.experiments import ArtifactOptions, run_artifact
 
 from benchmarks.conftest import run_once
 
 
 @pytest.mark.parametrize("p", [0.3, 0.6, 0.9], ids=["p30", "p60", "p90"])
 def test_bench_fig10_moving_windy(benchmark, scale, seed, p):
-    fig = run_once(
-        benchmark,
-        run_moving_figure,
-        scale,
-        b_fraction=1.0,
-        p=p,
-        label=f"100% B, p={p:.0%} (paper fig 10)",
-        seed=seed,
+    fig, _ = run_once(
+        benchmark, run_artifact, "fig10", scale,
+        seed=seed, opts=ArtifactOptions(p=p),
     )
     print()
     print(fig.format())

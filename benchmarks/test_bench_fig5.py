@@ -9,4 +9,4 @@ from benchmarks.windy_common import run_and_check
 
 
 def test_bench_fig5_windy_25pct(benchmark, scale, seed):
-    run_and_check(benchmark, scale, seed, 0.25, paper_peak=8.7)
+    run_and_check(benchmark, scale, seed, "fig5", paper_peak=8.7)

@@ -8,4 +8,4 @@ from benchmarks.windy_common import run_and_check
 
 
 def test_bench_fig6_windy_50pct(benchmark, scale, seed):
-    run_and_check(benchmark, scale, seed, 0.50, paper_peak=10.0)
+    run_and_check(benchmark, scale, seed, "fig6", paper_peak=10.0)

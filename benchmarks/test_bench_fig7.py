@@ -8,4 +8,4 @@ from benchmarks.windy_common import run_and_check
 
 
 def test_bench_fig7_windy_75pct(benchmark, scale, seed):
-    run_and_check(benchmark, scale, seed, 0.75, paper_peak=12.0)
+    run_and_check(benchmark, scale, seed, "fig7", paper_peak=12.0)

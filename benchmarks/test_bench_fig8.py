@@ -10,7 +10,7 @@ from benchmarks.windy_common import run_and_check
 
 
 def test_bench_fig8_windy_100pct(benchmark, scale, seed):
-    fig = run_and_check(benchmark, scale, seed, 1.00, paper_peak=17.0)
+    fig = run_and_check(benchmark, scale, seed, "fig8", paper_peak=17.0)
     # The paper's "negligible penalty" claim at p=0: bounded CC cost on
     # the (purely uniform) traffic.
     p0 = fig.points[0]

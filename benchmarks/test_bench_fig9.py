@@ -11,7 +11,7 @@ shrinks as lifetimes shrink; the general receive level rises as the
 traffic self-spreads.
 """
 
-from repro.experiments import run_moving_figure
+from repro.experiments import run_artifact
 
 from benchmarks.conftest import run_once
 
@@ -28,28 +28,14 @@ def _check(fig):
 
 
 def test_bench_fig9a_20v_80c(benchmark, scale, seed):
-    fig = run_once(
-        benchmark,
-        run_moving_figure,
-        scale,
-        c_fraction_of_rest=0.8,
-        label="20% V / 80% C (paper fig 9a)",
-        seed=seed,
-    )
+    fig, _ = run_once(benchmark, run_artifact, "fig9a", scale, seed=seed)
     print()
     print(fig.format())
     _check(fig)
 
 
 def test_bench_fig9b_60v_40c(benchmark, scale, seed):
-    fig = run_once(
-        benchmark,
-        run_moving_figure,
-        scale,
-        c_fraction_of_rest=0.4,
-        label="60% V / 40% C (paper fig 9b)",
-        seed=seed,
-    )
+    fig, _ = run_once(benchmark, run_artifact, "fig9b", scale, seed=seed)
     print()
     print(fig.format())
     _check(fig)

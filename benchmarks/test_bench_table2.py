@@ -17,13 +17,13 @@ CC (small CC penalty allowed); the non-hotspot rate collapses without
 CC and recovers most of the baseline with CC; total throughput improves.
 """
 
-from repro.experiments import run_table2
+from repro.experiments import run_artifact
 
 from benchmarks.conftest import run_once
 
 
 def test_bench_table2(benchmark, scale, seed):
-    result = run_once(benchmark, run_table2, scale, seed=seed)
+    result, _ = run_once(benchmark, run_artifact, "table2", scale, seed=seed)
     print()
     print(result.format())
     rows = result.rows()

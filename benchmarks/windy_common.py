@@ -1,11 +1,11 @@
 """Shared driver and shape assertions for the windy figures 5-8."""
 
-from repro.experiments import run_windy_figure
+from repro.experiments import ArtifactOptions, run_artifact
 
 P_VALUES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
-def run_and_check(benchmark, scale, seed, b_fraction, *, paper_peak):
+def run_and_check(benchmark, scale, seed, artifact, *, paper_peak):
     """Run one figure's p-sweep, print its three panels, check shapes.
 
     Shape criteria (paper section V-B):
@@ -21,13 +21,13 @@ def run_and_check(benchmark, scale, seed, b_fraction, *, paper_peak):
     """
     from benchmarks.conftest import run_once
 
-    fig = run_once(
+    fig, _ = run_once(
         benchmark,
-        run_windy_figure,
-        b_fraction,
+        run_artifact,
+        artifact,
         scale,
-        p_values=P_VALUES,
         seed=seed,
+        opts=ArtifactOptions(p_values=P_VALUES),
     )
     print()
     print(fig.format())
@@ -38,7 +38,7 @@ def run_and_check(benchmark, scale, seed, b_fraction, *, paper_peak):
     )
 
     pts = {round(pt.p, 2): pt for pt in fig.points}
-    pure_windy = b_fraction >= 1.0
+    pure_windy = fig.b_fraction >= 1.0
 
     # Panel (a).
     for p, pt in pts.items():

@@ -12,23 +12,25 @@ hotspot lifetime.
 Run:  python examples/virtualized_cluster.py
 """
 
-from repro.experiments import run_moving_point
-from repro.experiments.config import SCALES
+import dataclasses
+
+from repro.experiments import SCALES, ArtifactOptions, run_artifact
 
 
 def main() -> None:
-    scale = SCALES["quick"]
+    # Figure 10's sweep on the quick fabric, over this example's lifetimes.
+    scale = dataclasses.replace(
+        SCALES["quick"], moving_lifetimes_ns=(4e6, 2e6, 1e6, 0.5e6)
+    )
     print("Moving hotspots on a radix-8 fat-tree (100% B nodes, p=60%)")
     timer_ns = 150 * 1024
     print(f"CCTI recovery timer: {timer_ns / 1000:.1f} us per decrement; "
           f"a deep throttle takes ~{127 * timer_ns / 1e6:.1f} ms to unwind\n")
     print(f"{'lifetime':>9} {'all rcv, no CC':>15} {'all rcv, CC':>12} {'CC gain':>8}")
-    for lifetime_ms in (4.0, 2.0, 1.0, 0.5):
-        pt = run_moving_point(
-            lifetime_ms * 1e6, scale, b_fraction=1.0, p=0.6, seed=11
-        )
+    fig, _ = run_artifact("fig10", scale, seed=11, opts=ArtifactOptions(p=0.6))
+    for pt in fig.points:
         print(
-            f"{lifetime_ms:7.1f}ms {pt.off.all_nodes:13.2f} G "
+            f"{pt.lifetime_ns / 1e6:7.1f}ms {pt.off.all_nodes:13.2f} G "
             f"{pt.on.all_nodes:10.2f} G {pt.improvement:7.2f}x"
         )
     print("\nAs hotspot churn rises, traffic self-spreads (the no-CC column")

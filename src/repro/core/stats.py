@@ -15,14 +15,6 @@ from typing import Dict, List, Optional
 
 
 @dataclass
-class SwitchPortCcStats:
-    switch_id: int
-    port: int
-    victim_masked: bool
-    marks: int  # per-switch granularity in the model; see note below
-
-
-@dataclass
 class HcaCcStats:
     node_id: int
     becns_applied: int

@@ -19,20 +19,21 @@ Scenarios (section V's taxonomy):
   mix), the scenario where the paper finds CC reacts too slowly.
 
 Run it as ``ibcc-repro arena`` (``--quick`` for a seconds-scale smoke
-matrix) or through :func:`run_arena`; both emit the matrix as text,
-CSV and JSON.
+matrix, ``--out-dir`` to also write the matrix as CSV and JSON).
 """
 
 from __future__ import annotations
 
-import io
 import csv
+import io
 import json
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.cc import CCConfig, available_mechanisms
-from repro.experiments.config import SCALES, ExperimentConfig, ScaleProfile
+from repro.experiments.config import ExperimentConfig, ScaleProfile
 from repro.experiments.runner import ExperimentResult
 
 
@@ -122,15 +123,27 @@ class ArenaResult:
     mechanisms: List[str]
     cells: List[ArenaCell] = field(default_factory=list)
 
+    @classmethod
+    def from_results(cls, results: Sequence[ExperimentResult]) -> "ArenaResult":
+        """The results of :func:`arena_cells`, in order."""
+        cfg = results[0].config
+        names = [r.config.cc_mechanism for r in results if r.config.cc]
+        arena = cls(scale=cfg.scale.name, seed=cfg.seed,
+                    mechanisms=list(dict.fromkeys(names)))
+        baseline = None
+        for res in results:
+            scenario = res.config.name[len("arena-"):]
+            if not res.config.cc:
+                baseline = res
+                arena.cells.append(ArenaCell(scenario, "off", res))
+            else:
+                arena.cells.append(ArenaCell(
+                    scenario, res.config.cc_mechanism, res, baseline=baseline))
+        return arena
+
     def rows(self) -> List[Dict[str, object]]:
         """Every matrix row (baselines first per scenario) as dicts."""
         return [c.row() for c in self.cells]
-
-    def cell(self, scenario: str, mechanism: str) -> ArenaCell:
-        for c in self.cells:
-            if c.scenario == scenario and c.mechanism == mechanism:
-                return c
-        raise KeyError(f"no arena cell ({scenario!r}, {mechanism!r})")
 
     def to_csv(self) -> str:
         rows = self.rows()
@@ -176,82 +189,38 @@ class ArenaResult:
                 )
         return "\n".join(lines)
 
+    def render(self, opts) -> str:
+        """What ``ibcc-repro arena`` prints: the matrix; with
+        ``opts.out_dir`` it also writes ``arena.csv`` and ``arena.json``."""
+        if opts.out_dir is not None:
+            os.makedirs(opts.out_dir, exist_ok=True)
+            csv_path = os.path.join(opts.out_dir, "arena.csv")
+            json_path = os.path.join(opts.out_dir, "arena.json")
+            with open(csv_path, "w") as fh:
+                fh.write(self.to_csv())
+            with open(json_path, "w") as fh:
+                fh.write(self.to_json())
+                fh.write("\n")
+            print(f"matrix written to {csv_path} and {json_path}",
+                  file=sys.stderr)
+        return self.format()
 
-def run_arena(
-    scale: ScaleProfile | str = "default",
-    *,
-    mechanisms: Optional[Sequence[str]] = None,
-    scenarios: Sequence[ArenaScenario] = SCENARIOS,
-    seed: int = 7,
-    quick: bool = False,
-    jobs: int = 1,
-    cache=None,
-    retry=None,
-    timeout_s: float | None = None,
-    max_rss_mb: float | None = None,
-    reporter=None,
-    manifest_path: str | None = None,
-    run_fn=None,
-    resume_from=None,
-    retry_failed: bool = False,
-) -> ArenaResult:
-    """Run the cross-mechanism matrix.
 
-    ``mechanisms`` defaults to every registered :mod:`repro.cc`
-    mechanism (importing the package registers the shipped four); an
-    entry may be a name or a tuned :class:`~repro.cc.CCConfig`.
-    Each scenario runs one no-CC baseline (shared across mechanisms —
-    it carries no ``cc_config``, so its cache entry is reused by any
-    later per-mechanism campaign) plus one CC-on cell per mechanism.
-    ``quick=True`` shrinks simulated time to a smoke-test matrix.
-    All executor knobs forward to :func:`repro.parallel.run_campaign`;
-    any cell failing after its retries raises
-    :class:`~repro.parallel.pool.CampaignError`.
+def arena_cells(scale: ScaleProfile, seed: int, opts) -> List[ExperimentConfig]:
+    """Per scenario, one no-CC baseline then one CC-on cell per mechanism.
+
+    The mechanisms are every registered :mod:`repro.cc` mechanism, or
+    only ``opts.cc_config`` when set. The baseline carries no
+    ``cc_config``, so every per-mechanism campaign shares its cache
+    entry. ``opts.quick`` shrinks simulated time to a smoke matrix.
     """
-    from repro.parallel import run_campaign
-
-    if isinstance(scale, str):
-        scale = SCALES[scale]
-    entries = list(mechanisms) if mechanisms is not None else list(available_mechanisms())
-    cc_configs = [
-        (m if isinstance(m, CCConfig) else CCConfig.make(m)).validate()
-        for m in entries
-    ]
-    names = [cc.mechanism for cc in cc_configs]
-    configs: List[ExperimentConfig] = []
-    for scenario in scenarios:
-        base = scenario.base_config(scale, seed=seed, quick=quick)
-        configs.append(base.with_(cc=False))
-        for cc in cc_configs:
-            configs.append(base.with_(cc=True, cc_config=cc))
-    campaign = run_campaign(
-        configs,
-        jobs=jobs,
-        cache=cache,
-        retry=retry,
-        timeout_s=timeout_s,
-        max_rss_mb=max_rss_mb,
-        progress=reporter,
-        manifest_path=manifest_path,
-        run_fn=run_fn,
-        resume_from=resume_from,
-        retry_failed=retry_failed,
-    ).raise_on_failure()
-    results = campaign.results
-    arena = ArenaResult(scale=scale.name, seed=seed, mechanisms=names)
-    stride = 1 + len(names)
-    for i, scenario in enumerate(scenarios):
-        baseline = results[i * stride]
-        arena.cells.append(
-            ArenaCell(scenario=scenario.name, mechanism="off", result=baseline)
-        )
-        for j, name in enumerate(names):
-            arena.cells.append(
-                ArenaCell(
-                    scenario=scenario.name,
-                    mechanism=name,
-                    result=results[i * stride + 1 + j],
-                    baseline=baseline,
-                )
-            )
-    return arena
+    if opts.cc_config is not None:
+        mechanisms = [opts.cc_config.validate()]
+    else:
+        mechanisms = [CCConfig.make(m).validate() for m in available_mechanisms()]
+    cells: List[ExperimentConfig] = []
+    for scenario in SCENARIOS:
+        base = scenario.base_config(scale, seed=seed, quick=opts.quick)
+        cells.append(base.with_(cc=False))
+        cells += [base.with_(cc=True, cc_config=cc) for cc in mechanisms]
+    return cells

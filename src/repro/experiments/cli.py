@@ -28,12 +28,6 @@ import os
 import sys
 
 from repro.experiments.config import SCALES, ConfigError
-from repro.experiments.fault_scenarios import run_fault_scenarios
-from repro.experiments.moving import run_moving_figure
-from repro.experiments.table2 import run_table2
-from repro.experiments.windy import run_windy_figure
-
-_WINDY_X = {"fig5": 0.25, "fig6": 0.50, "fig7": 0.75, "fig8": 1.00}
 
 _CHAOS_RATES = ("link_flap", "degrade", "cnp_drop", "timer_freeze", "switch_pause")
 _CHAOS_DEFAULT_RATE = 0.05
@@ -100,8 +94,21 @@ def parse_cc(text: str):
     return CCConfig.make(mech, **params).validate()
 
 
+def p_sweep(step: float) -> tuple:
+    """The hotspot shares 0, ``step``, 2·``step``, ... up to 1 (none
+    for ``step <= 0``)."""
+    p_values = []
+    p = 0.0
+    while step > 0 and p < 1.0 + 1e-9:
+        p_values.append(round(p, 6))
+        p += step
+    return tuple(p_values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse parser for the ``ibcc-repro`` CLI."""
+    from repro.experiments.artifacts import ARTIFACTS
+
     parser = argparse.ArgumentParser(
         prog="ibcc-repro",
         description=(
@@ -111,8 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "artifact",
-        choices=["table2", "fig5", "fig6", "fig7", "fig8", "fig9a", "fig9b",
-                 "fig10", "faults", "arena"],
+        choices=[a.name for a in ARTIFACTS],
         help=(
             "which artifact to regenerate (faults = the fault-scenario "
             "robustness table; arena = the cross-mechanism CC matrix)"
@@ -389,8 +395,6 @@ def _trace_report(results, stream) -> int:
 
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
-    from repro.parallel import ProgressReporter
-
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "store":
@@ -403,215 +407,82 @@ def main(argv=None) -> int:
         from repro.serve.cli import serve_main
 
         return serve_main(argv[1:])
+    from repro.experiments.artifacts import ArtifactOptions, run_artifact
+    from repro.experiments.runner import TracedRun
+    from repro.faults import FaultSchedule
+    from repro.parallel import ProgressReporter
+    from repro.trace import TraceSpec
+    from repro.transport import TransportConfig
+
     args = build_parser().parse_args(argv)
-    scale = SCALES[args.scale]
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.retry_failed and args.resume is None:
-        print("--retry-failed requires --resume", file=sys.stderr)
-        return 2
-    if args.timeout_s is not None and args.timeout_s <= 0:
-        print("--timeout-s must be > 0", file=sys.stderr)
-        return 2
-    if args.max_rss_mb is not None and args.max_rss_mb <= 0:
-        print("--max-rss-mb must be > 0", file=sys.stderr)
-        return 2
-    if args.trace_dir is not None and not args.trace:
-        print("--trace-dir requires --trace", file=sys.stderr)
-        return 2
-    if args.recovery_stats is not None and not args.transport:
-        print("--recovery-stats requires --transport", file=sys.stderr)
-        return 2
-    if args.quick and args.artifact != "arena":
-        print("--quick applies only to the arena artifact", file=sys.stderr)
-        return 2
-    if args.transport and args.artifact == "arena":
-        print("the arena compares mechanisms on the raw lossless fabric; "
-              "--transport applies to the other artifacts", file=sys.stderr)
-        return 2
-    if args.out_dir is not None and args.artifact != "arena":
-        print("--out-dir applies only to the arena artifact", file=sys.stderr)
-        return 2
-    cc_config = None
-    if args.cc is not None:
-        try:
-            cc_config = parse_cc(args.cc)
-        except ValueError as exc:
-            print(f"--cc {args.cc!r}: {exc}", file=sys.stderr)
-            return 2
-    transport = None
-    if args.transport:
-        from repro.transport import TransportConfig
-
-        transport = TransportConfig()
     cache = None if args.no_cache else args.cache_dir
-    if cache is not None and os.path.exists(cache) and not os.path.isdir(cache):
-        print(f"--cache-dir {cache!r} exists and is not a directory", file=sys.stderr)
-        return 2
-    if args.faults is not None and args.chaos is not None:
-        print("--faults and --chaos are mutually exclusive", file=sys.stderr)
-        return 2
-    faults = None
-    if args.faults is not None:
-        from repro.faults import FaultSchedule
-
-        try:
-            faults = FaultSchedule.load(args.faults)
-        except (OSError, ValueError) as exc:
-            print(f"--faults {args.faults!r}: {exc}", file=sys.stderr)
+    for bad, problem in (
+        (args.jobs < 1, "--jobs must be >= 1"),
+        (args.retry_failed and args.resume is None,
+         "--retry-failed requires --resume"),
+        (args.timeout_s is not None and args.timeout_s <= 0,
+         "--timeout-s must be > 0"),
+        (args.max_rss_mb is not None and args.max_rss_mb <= 0,
+         "--max-rss-mb must be > 0"),
+        (args.trace_dir is not None and not args.trace,
+         "--trace-dir requires --trace"),
+        (args.recovery_stats is not None and not args.transport,
+         "--recovery-stats requires --transport"),
+        (cache is not None and os.path.exists(cache) and not os.path.isdir(cache),
+         f"--cache-dir {cache!r} exists and is not a directory"),
+        (args.faults is not None and args.chaos is not None,
+         "--faults and --chaos are mutually exclusive"),
+    ):
+        if bad:
+            print(problem, file=sys.stderr)
             return 2
-    elif args.chaos is not None:
-        try:
-            faults = parse_chaos(args.chaos)
-        except ValueError as exc:
-            print(f"--chaos {args.chaos!r}: {exc}", file=sys.stderr)
-            return 2
-    if args.artifact == "faults" and faults is not None:
-        print("the faults artifact has built-in scenarios; "
-              "--faults/--chaos apply to the other artifacts", file=sys.stderr)
-        return 2
-    if args.artifact == "arena" and faults is not None:
-        print("the arena compares mechanisms on a clean fabric; "
-              "--faults/--chaos apply to the other artifacts", file=sys.stderr)
-        return 2
-    run_fn = None
-    if args.trace:
-        from repro.experiments.runner import TracedRun
-        from repro.trace import TraceSpec
-
-        run_fn = TracedRun(TraceSpec(jsonl_dir=args.trace_dir))
-    # Live progress goes to stderr so stdout stays a clean table/figure.
-    reporter = ProgressReporter(stream=sys.stderr) if args.jobs > 1 else None
-    campaign_kw = dict(
-        jobs=args.jobs,
-        cache=cache,
-        timeout_s=args.timeout_s,
-        max_rss_mb=args.max_rss_mb,
-        reporter=reporter,
-        manifest_path=args.manifest,
-        run_fn=run_fn,
-        resume_from=args.resume,
-        retry_failed=args.retry_failed,
-        transport=transport,
+    parsed = {}
+    for flag, text, parse in (("--cc", args.cc, parse_cc),
+                              ("--faults", args.faults, FaultSchedule.load),
+                              ("--chaos", args.chaos, parse_chaos)):
+        if text is not None:
+            try:
+                parsed[flag] = parse(text)
+            except (OSError, ValueError) as exc:
+                print(f"{flag} {text!r}: {exc}", file=sys.stderr)
+                return 2
+    opts = ArtifactOptions(
+        p_values=p_sweep(args.p_step / 100.0),
+        p=args.p / 100.0,
+        quick=args.quick,
+        cc_config=parsed.get("--cc"),
+        faults=parsed.get("--faults", parsed.get("--chaos")),
+        transport=TransportConfig() if args.transport else None,
+        chart=args.chart,
+        out_dir=args.out_dir,
     )
-    if args.artifact not in ("faults", "arena"):
-        campaign_kw["faults"] = faults
-    if args.artifact == "arena":
-        # The arena sweeps mechanisms itself; --cc restricts its matrix.
-        campaign_kw.pop("transport")
-        campaign_kw["quick"] = args.quick
-        if cc_config is not None:
-            campaign_kw["mechanisms"] = [cc_config]
-    else:
-        campaign_kw["cc_config"] = cc_config
-
     try:
-        traced_results = _run_artifact(args, scale, campaign_kw)
+        result, results = run_artifact(
+            args.artifact, SCALES[args.scale], seed=args.seed, opts=opts,
+            jobs=args.jobs,
+            cache=cache,
+            timeout_s=args.timeout_s,
+            max_rss_mb=args.max_rss_mb,
+            # Live progress goes to stderr so stdout stays a clean table.
+            progress=ProgressReporter(stream=sys.stderr) if args.jobs > 1 else None,
+            manifest_path=args.manifest,
+            run_fn=TracedRun(TraceSpec(jsonl_dir=args.trace_dir)) if args.trace else None,
+            resume_from=args.resume,
+            retry_failed=args.retry_failed,
+        )
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
+    print(result.render(opts))
     if args.recovery_stats is not None:
-        _write_recovery_stats(args.recovery_stats, traced_results)
+        _write_recovery_stats(args.recovery_stats, results)
         print(f"recovery stats written to {args.recovery_stats}",
               file=sys.stderr)
-    if args.trace and traced_results:
-        if _trace_report(traced_results, sys.stderr):
-            print("trace audit FAILED: invariant violations detected",
-                  file=sys.stderr)
-            return 1
+    if args.trace and _trace_report(results, sys.stderr):
+        print("trace audit FAILED: invariant violations detected",
+              file=sys.stderr)
+        return 1
     return 0
-
-
-def _run_artifact(args, scale, campaign_kw) -> list:
-    """Run the selected artifact, print it, return its cell results."""
-    traced_results = []
-    if args.artifact == "table2":
-        table = run_table2(scale, seed=args.seed, **campaign_kw)
-        traced_results = [
-            table.baseline_no_cc, table.baseline_cc,
-            table.hotspots_no_cc, table.hotspots_cc,
-        ]
-        print(table.format())
-    elif args.artifact in _WINDY_X:
-        step = args.p_step / 100.0
-        p_values = []
-        p = 0.0
-        while p < 1.0 + 1e-9:
-            p_values.append(round(p, 6))
-            p += step
-        fig = run_windy_figure(
-            _WINDY_X[args.artifact], scale, p_values=p_values, seed=args.seed,
-            **campaign_kw,
-        )
-        traced_results = [r for pt in fig.points for r in (pt.off, pt.on)]
-        print(fig.format())
-        peak = fig.peak_improvement()
-        print(f"peak improvement {peak.improvement:.1f}x at p={peak.p * 100:.0f}%")
-        if args.chart:
-            from repro.metrics import line_chart
-
-            series = fig.series()
-            print()
-            print(line_chart(
-                {"CC off": series["non_hotspot_off"],
-                 "CC on": series["non_hotspot_on"],
-                 "tmax": series["tmax"]},
-                series["p"], x_label="p (%)", y_label="non-hotspot rcv (Gbit/s)",
-            ))
-            print()
-            print(line_chart(
-                {"improvement": series["improvement"]},
-                series["p"], x_label="p (%)", y_label="CC throughput gain (x)",
-            ))
-    elif args.artifact in ("fig9a", "fig9b", "fig10"):
-        if args.artifact == "fig9a":
-            fig = run_moving_figure(scale, c_fraction_of_rest=0.8,
-                                    label="20% V / 80% C", seed=args.seed,
-                                    **campaign_kw)
-        elif args.artifact == "fig9b":
-            fig = run_moving_figure(scale, c_fraction_of_rest=0.4,
-                                    label="60% V / 40% C", seed=args.seed,
-                                    **campaign_kw)
-        else:
-            fig = run_moving_figure(scale, b_fraction=1.0, p=args.p / 100.0,
-                                    label=f"100% B, p={args.p:.0f}", seed=args.seed,
-                                    **campaign_kw)
-        traced_results = [r for pt in fig.points for r in (pt.off, pt.on)]
-        print(fig.format())
-        if args.chart:
-            from repro.metrics import line_chart
-
-            series = fig.series()
-            print()
-            print(line_chart(
-                {"CC off": series["all_off"], "CC on": series["all_on"]},
-                series["lifetime_ms"],
-                x_label="hotspot lifetime (ms)",
-                y_label="all-node rcv (Gbit/s)",
-            ))
-    elif args.artifact == "faults":
-        table = run_fault_scenarios(scale, seed=args.seed, **campaign_kw)
-        traced_results = [r for row in table.rows for r in (row.off, row.on)]
-        print(table.format())
-    elif args.artifact == "arena":
-        from repro.experiments.arena import run_arena
-
-        arena = run_arena(scale, seed=args.seed, **campaign_kw)
-        traced_results = [c.result for c in arena.cells]
-        print(arena.format())
-        if args.out_dir is not None:
-            os.makedirs(args.out_dir, exist_ok=True)
-            csv_path = os.path.join(args.out_dir, "arena.csv")
-            json_path = os.path.join(args.out_dir, "arena.json")
-            with open(csv_path, "w") as fh:
-                fh.write(arena.to_csv())
-            with open(json_path, "w") as fh:
-                fh.write(arena.to_json())
-                fh.write("\n")
-            print(f"matrix written to {csv_path} and {json_path}",
-                  file=sys.stderr)
-    return traced_results
 
 
 if __name__ == "__main__":  # pragma: no cover

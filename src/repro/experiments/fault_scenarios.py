@@ -20,16 +20,14 @@ workload, with and without CC:
 
 Every scenario runs the Table II "hotspots" phases (CC off / CC on) at
 the requested scale; the clean pair is included as the reference row.
-Cells fan out through :func:`repro.parallel.run_campaign` like every
-other driver (cache/retry/manifest/resume all apply).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.experiments.config import SCALES, ExperimentConfig, ScaleProfile
+from repro.experiments.config import ExperimentConfig, ScaleProfile
 from repro.experiments.runner import ExperimentResult
 from repro.faults.spec import ChaosSpec, FaultPlan, FaultSchedule, FaultSpec
 
@@ -116,7 +114,7 @@ def builtin_scenarios(scale: ScaleProfile, *, seed: int = 7) -> List[FaultScenar
 class ScenarioRow:
     """Both CC settings of one scenario, plus its fault telemetry."""
 
-    scenario: FaultScenario
+    name: str
     off: ExperimentResult
     on: ExperimentResult
 
@@ -127,23 +125,17 @@ class ScenarioRow:
 
 @dataclass
 class FaultScenarioTable:
-    """All scenario rows of one :func:`run_fault_scenarios` call."""
+    """One row per scenario of :func:`fault_cells`."""
 
     rows: List[ScenarioRow]
 
-    def row(self, name: str) -> ScenarioRow:
-        for r in self.rows:
-            if r.scenario.name == name:
-                return r
-        raise KeyError(name)
-
-    def series(self) -> Dict[str, list]:
-        return {
-            "scenario": [r.scenario.name for r in self.rows],
-            "total_off": [r.off.total for r in self.rows],
-            "total_on": [r.on.total for r in self.rows],
-            "improvement": [r.improvement for r in self.rows],
-        }
+    @classmethod
+    def from_results(cls, results: Sequence[ExperimentResult]) -> "FaultScenarioTable":
+        """The (off, on) pairs of :func:`fault_cells`, in order."""
+        return cls(rows=[
+            ScenarioRow(name=off.config.name[len("fault-"):], off=off, on=on)
+            for off, on in zip(results[::2], results[1::2])
+        ])
 
     def format(self) -> str:
         """Plain-text table: throughput and fault telemetry per scenario.
@@ -169,7 +161,7 @@ class FaultScenarioTable:
             faults = r.on.fault_onsets
             drops = r.on.dropped_packets + r.on.cnps_dropped
             line = (
-                f"{r.scenario.name:<14} {r.off.total:8.3f} {r.on.total:8.3f} "
+                f"{r.name:<14} {r.off.total:8.3f} {r.on.total:8.3f} "
                 f"{r.improvement:6.2f}x {r.off.non_hotspot:10.3f} "
                 f"{r.on.non_hotspot:9.3f} {faults:7d} {drops:7d}"
             )
@@ -178,67 +170,18 @@ class FaultScenarioTable:
             rows.append(line)
         return "\n".join([head, *rows])
 
+    def render(self, opts) -> str:
+        """What ``ibcc-repro faults`` prints: the table."""
+        return self.format()
 
-def run_fault_scenarios(
-    scale: ScaleProfile | str = "default",
-    *,
-    scenarios: Optional[Sequence[FaultScenario]] = None,
-    seed: int = 7,
-    transport=None,
-    cc_config=None,
-    jobs: int = 1,
-    cache=None,
-    retry=None,
-    timeout_s: float | None = None,
-    max_rss_mb: float | None = None,
-    reporter=None,
-    manifest_path: str | None = None,
-    run_fn=None,
-    resume_from=None,
-    retry_failed: bool = False,
-) -> FaultScenarioTable:
-    """Run every scenario's (CC off, CC on) hotspot pair at ``scale``.
 
-    ``scenarios`` overrides :func:`builtin_scenarios`; ``transport``
-    (a :class:`~repro.transport.TransportConfig`) runs every cell on
-    the reliable-delivery layer so lossy fault classes recover by
-    retransmission instead of silently losing bytes. The executor
-    knobs (``jobs``/``cache``/``retry``/``timeout_s``/``reporter``/
-    ``manifest_path``/``resume_from``) forward to
-    :func:`repro.parallel.run_campaign`. A cell that fails after its
-    retries raises :class:`~repro.parallel.pool.CampaignError`.
-    """
-    from repro.parallel import run_campaign
-
-    if isinstance(scale, str):
-        scale = SCALES[scale]
-    if scenarios is None:
-        scenarios = builtin_scenarios(scale, seed=seed)
+def fault_cells(scale: ScaleProfile, seed: int, opts) -> List[ExperimentConfig]:
+    """CC off then on under each of :func:`builtin_scenarios`."""
     base = ExperimentConfig(
         scale=scale, b_fraction=0.0, c_fraction_of_rest=0.8, seed=seed,
-        transport=transport,
     )
-    configs = []
-    for sc in scenarios:
+    cells = []
+    for sc in builtin_scenarios(scale, seed=seed):
         cfg = base.with_(name=f"fault-{sc.name}", faults=sc.plan)
-        configs.append(cfg.with_(cc=False))
-        configs.append(cfg.with_(cc=True, cc_config=cc_config))
-    campaign = run_campaign(
-        configs,
-        jobs=jobs,
-        cache=cache,
-        retry=retry,
-        timeout_s=timeout_s,
-        max_rss_mb=max_rss_mb,
-        progress=reporter,
-        manifest_path=manifest_path,
-        run_fn=run_fn,
-        resume_from=resume_from,
-        retry_failed=retry_failed,
-    ).raise_on_failure()
-    results = campaign.results
-    rows = [
-        ScenarioRow(scenario=sc, off=results[2 * i], on=results[2 * i + 1])
-        for i, sc in enumerate(scenarios)
-    ]
-    return FaultScenarioTable(rows=rows)
+        cells += [cfg.with_(cc=False), cfg.with_(cc=True)]
+    return cells

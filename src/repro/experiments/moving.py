@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.experiments.config import SCALES, ExperimentConfig, ScaleProfile
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.config import ExperimentConfig, ScaleProfile
+from repro.experiments.runner import ExperimentResult
 
 
 @dataclass
@@ -34,6 +34,20 @@ class MovingFigure:
 
     label: str
     points: List[MovingPoint]
+
+    @classmethod
+    def from_results(cls, results: Sequence[ExperimentResult]) -> "MovingFigure":
+        """The (off, on) pairs of :func:`moving_cells`, in order."""
+        cfg = results[0].config
+        if cfg.b_fraction:
+            label = f"{cfg.b_fraction:.0%} B, p={cfg.p * 100:.0f}"
+        else:
+            c = cfg.c_fraction_of_rest
+            label = f"{1 - c:.0%} V / {c:.0%} C"
+        return cls(label=label, points=[
+            MovingPoint(lifetime_ns=off.config.hotspot_lifetime_ns, off=off, on=on)
+            for off, on in zip(results[::2], results[1::2])
+        ])
 
     def series(self) -> Dict[str, List[float]]:
         """Column-oriented data for the lifetime sweep panels."""
@@ -57,108 +71,42 @@ class MovingFigure:
         ]
         return "\n".join([head, *rows])
 
+    def render(self, opts) -> str:
+        """What ``ibcc-repro fig9a``/``fig9b``/``fig10`` print: the table
+        and, with ``opts.chart``, the all-node panel."""
+        if not opts.chart:
+            return self.format()
+        from repro.metrics import line_chart
 
-def run_moving_point(
-    lifetime_ns: float,
-    scale: ScaleProfile | str = "default",
-    *,
-    b_fraction: float = 0.0,
-    p: float = 0.5,
-    c_fraction_of_rest: float = 0.8,
-    seed: int = 7,
-) -> MovingPoint:
-    """One lifetime cell (both CC settings)."""
-    if isinstance(scale, str):
-        scale = SCALES[scale]
-    cfg = ExperimentConfig(
-        scale=scale,
-        b_fraction=b_fraction,
-        p=p,
-        c_fraction_of_rest=c_fraction_of_rest,
-        hotspot_lifetime_ns=lifetime_ns,
-        seed=seed,
-        name=f"moving-life{lifetime_ns / 1e6:.0f}ms",
-    )
-    return MovingPoint(
-        lifetime_ns=lifetime_ns,
-        off=run_experiment(cfg.with_(cc=False)),
-        on=run_experiment(cfg.with_(cc=True)),
-    )
+        series = self.series()
+        return "\n".join([self.format(), "", line_chart(
+            {"CC off": series["all_off"], "CC on": series["all_on"]},
+            series["lifetime_ms"],
+            x_label="hotspot lifetime (ms)",
+            y_label="all-node rcv (Gbit/s)",
+        )])
 
 
-def run_moving_figure(
-    scale: ScaleProfile | str = "default",
-    *,
-    b_fraction: float = 0.0,
-    p: float = 0.5,
-    c_fraction_of_rest: float = 0.8,
-    lifetimes_ns: Sequence[float] | None = None,
-    label: str = "",
-    seed: int = 7,
-    jobs: int = 1,
-    cache=None,
-    retry=None,
-    timeout_s: float | None = None,
-    max_rss_mb: float | None = None,
-    reporter=None,
-    manifest_path: str | None = None,
-    run_fn=None,
-    faults=None,
-    transport=None,
-    cc_config=None,
-    resume_from=None,
-    retry_failed: bool = False,
-) -> MovingFigure:
-    """A lifetime sweep.
+def moving_cells(
+    scale: ScaleProfile, seed: int, opts, *,
+    c_fraction_of_rest: float = 0.8, windy: bool = False,
+) -> List[ExperimentConfig]:
+    """CC off then on at each of the scale's hotspot lifetimes.
 
     * figure 9(a): ``c_fraction_of_rest=0.8`` (80 % C / 20 % V);
     * figure 9(b): ``c_fraction_of_rest=0.4`` (40 % C / 60 % V);
-    * figure 10(a-c): ``b_fraction=1.0`` and ``p`` in {0.3, 0.6, 0.9}.
-
-    Cells fan out through :func:`repro.parallel.run_campaign`:
-    ``jobs=1`` preserves the historical serial order (off then on per
-    lifetime); ``cache``/``retry``/``timeout_s``/``reporter``/
-    ``manifest_path`` forward to the executor, and any cell that fails
-    after its retries raises
-    :class:`~repro.parallel.pool.CampaignError`.
+    * figure 10: ``windy=True`` — 100 % B nodes at ``opts.p``.
     """
-    from repro.parallel import run_campaign
-
-    if isinstance(scale, str):
-        scale = SCALES[scale]
-    if lifetimes_ns is None:
-        lifetimes_ns = scale.moving_lifetimes_ns
-    configs = []
-    for lt in lifetimes_ns:
+    shape = {"b_fraction": 1.0, "p": opts.p} if windy else {}
+    cells = []
+    for lt in scale.moving_lifetimes_ns:
         cfg = ExperimentConfig(
             scale=scale,
-            b_fraction=b_fraction,
-            p=p,
             c_fraction_of_rest=c_fraction_of_rest,
             hotspot_lifetime_ns=lt,
             seed=seed,
             name=f"moving-life{lt / 1e6:.0f}ms",
-            faults=faults,
-            transport=transport,
+            **shape,
         )
-        configs.append(cfg.with_(cc=False))
-        configs.append(cfg.with_(cc=True, cc_config=cc_config))
-    campaign = run_campaign(
-        configs,
-        jobs=jobs,
-        cache=cache,
-        retry=retry,
-        timeout_s=timeout_s,
-        max_rss_mb=max_rss_mb,
-        progress=reporter,
-        manifest_path=manifest_path,
-        run_fn=run_fn,
-        resume_from=resume_from,
-        retry_failed=retry_failed,
-    ).raise_on_failure()
-    results = campaign.results
-    points = [
-        MovingPoint(lifetime_ns=lt, off=results[2 * i], on=results[2 * i + 1])
-        for i, lt in enumerate(lifetimes_ns)
-    ]
-    return MovingFigure(label=label or f"b={b_fraction:.0%}, p={p:.0%}", points=points)
+        cells += [cfg.with_(cc=False), cfg.with_(cc=True)]
+    return cells

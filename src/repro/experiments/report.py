@@ -14,10 +14,8 @@ import datetime
 import io
 import time
 
+from repro.experiments.artifacts import ArtifactOptions, run_artifact
 from repro.experiments.config import SCALES, ScaleProfile
-from repro.experiments.moving import run_moving_figure
-from repro.experiments.table2 import run_table2
-from repro.experiments.windy import run_windy_figure
 
 # Transcribed from the paper (648 nodes, 0.1 s per point).
 PAPER_TABLE2 = {
@@ -47,7 +45,7 @@ PAPER_MOVING_NOTES = {
 
 
 def _table2_section(out, scale: ScaleProfile, seed: int) -> None:
-    t2 = run_table2(scale, seed=seed)
+    t2, _ = run_artifact("table2", scale, seed=seed)
     rows = t2.rows()
     out.write("## Table II — silent forest of congestion trees (Gbit/s)\n\n")
     out.write(f"Scale: `{scale.name}` ({scale.n_hosts} hosts, "
@@ -72,7 +70,8 @@ def _table2_section(out, scale: ScaleProfile, seed: int) -> None:
 
 def _windy_section(out, scale: ScaleProfile, seed: int, b_fraction: float,
                    fig_no: int, p_values) -> None:
-    fig = run_windy_figure(b_fraction, scale, p_values=p_values, seed=seed)
+    fig, _ = run_artifact(f"fig{fig_no}", scale, seed=seed,
+                          opts=ArtifactOptions(p_values=tuple(p_values)))
     out.write(f"## Figure {fig_no} — windy forest, {b_fraction:.0%} B nodes\n\n")
     out.write(f"Paper: {PAPER_WINDY_NOTES[b_fraction]}.\n\n")
     out.write("| p% | non-hs off | non-hs on | tmax | hs off | hs on | improvement |\n")
@@ -87,37 +86,30 @@ def _windy_section(out, scale: ScaleProfile, seed: int, b_fraction: float,
     out.write(f"\nPeak improvement {peak.improvement:.2f}x at p={peak.p * 100:.0f}%.\n\n")
 
 
+def _moving_table(out, fig) -> None:
+    out.write("| lifetime (ms) | all-node rcv, no CC | all-node rcv, CC | improvement |\n")
+    out.write("|---|---|---|---|\n")
+    for pt in fig.points:
+        out.write(
+            f"| {pt.lifetime_ns / 1e6:.0f} | {pt.off.all_nodes:.3f} "
+            f"| {pt.on.all_nodes:.3f} | {pt.improvement:.2f}x |\n"
+        )
+    out.write("\n")
+
+
 def _moving_section(out, scale: ScaleProfile, seed: int) -> None:
     out.write("## Figure 9 — moving silent congestion trees\n\n")
-    for label, c_rest, key in (
-        ("9(a) 20% V / 80% C", 0.8, "fig9a"),
-        ("9(b) 60% V / 40% C", 0.4, "fig9b"),
-    ):
-        fig = run_moving_figure(scale, c_fraction_of_rest=c_rest, label=label, seed=seed)
+    for label, key in (("9(a) 20% V / 80% C", "fig9a"), ("9(b) 60% V / 40% C", "fig9b")):
+        fig, _ = run_artifact(key, scale, seed=seed)
         out.write(f"### {label}\n\nPaper: {PAPER_MOVING_NOTES[key]}.\n\n")
-        out.write("| lifetime (ms) | all-node rcv, no CC | all-node rcv, CC | improvement |\n")
-        out.write("|---|---|---|---|\n")
-        for pt in fig.points:
-            out.write(
-                f"| {pt.lifetime_ns / 1e6:.0f} | {pt.off.all_nodes:.3f} "
-                f"| {pt.on.all_nodes:.3f} | {pt.improvement:.2f}x |\n"
-            )
-        out.write("\n")
+        _moving_table(out, fig)
 
     out.write("## Figure 10 — moving windy congestion trees (100% B nodes)\n\n")
     out.write(f"Paper: {PAPER_MOVING_NOTES['fig10']}.\n\n")
     for p in (0.3, 0.6, 0.9):
-        fig = run_moving_figure(scale, b_fraction=1.0, p=p,
-                                label=f"p={p:.0%}", seed=seed)
+        fig, _ = run_artifact("fig10", scale, seed=seed, opts=ArtifactOptions(p=p))
         out.write(f"### 10 at p = {p:.0%}\n\n")
-        out.write("| lifetime (ms) | all-node rcv, no CC | all-node rcv, CC | improvement |\n")
-        out.write("|---|---|---|---|\n")
-        for pt in fig.points:
-            out.write(
-                f"| {pt.lifetime_ns / 1e6:.0f} | {pt.off.all_nodes:.3f} "
-                f"| {pt.on.all_nodes:.3f} | {pt.improvement:.2f}x |\n"
-            )
-        out.write("\n")
+        _moving_table(out, fig)
 
 
 def generate_report(scale: ScaleProfile | str = "default", *, seed: int = 7,

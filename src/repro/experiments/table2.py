@@ -13,9 +13,9 @@ plus the total-network-throughput comparison of the hotspot phases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List, Sequence
 
-from repro.experiments.config import SCALES, ExperimentConfig, ScaleProfile
+from repro.experiments.config import ExperimentConfig, ScaleProfile
 from repro.experiments.runner import ExperimentResult
 
 
@@ -41,6 +41,11 @@ class Table2Result:
             "total_throughput_cc": self.hotspots_cc.total,
         }
 
+    @classmethod
+    def from_results(cls, results: Sequence[ExperimentResult]) -> "Table2Result":
+        """The results of :func:`table2_cells`, in order."""
+        return cls(*results)
+
     @property
     def improvement(self) -> float:
         return self.hotspots_cc.total / self.hotspots_no_cc.total
@@ -62,77 +67,19 @@ class Table2Result:
         ]
         return "\n".join(lines)
 
+    def render(self, opts) -> str:
+        """What ``ibcc-repro table2`` prints: the table."""
+        return self.format()
 
-def run_table2(
-    scale: ScaleProfile | str = "default",
-    *,
-    seed: int = 7,
-    jobs: int = 1,
-    cache=None,
-    retry=None,
-    timeout_s: float | None = None,
-    max_rss_mb: float | None = None,
-    reporter=None,
-    manifest_path: str | None = None,
-    run_fn=None,
-    faults=None,
-    transport=None,
-    cc_config=None,
-    resume_from=None,
-    retry_failed: bool = False,
-) -> Table2Result:
-    """Run the four phases of Table II at the given scale.
 
-    The phases are independent cells, so they fan out through
-    :func:`repro.parallel.run_campaign`: ``jobs`` sets the pool width
-    (1 = in-process serial, byte-identical to the historical driver),
-    ``cache`` enables read-through result caching, and ``retry``/
-    ``timeout_s``/``reporter``/``manifest_path`` forward to the
-    executor. ``run_fn`` overrides the per-cell runner — e.g.
-    :class:`~repro.experiments.runner.TracedRun` to capture trace
-    digests. A phase that fails after its retries raises
-    :class:`~repro.parallel.pool.CampaignError` — Table II needs all
-    four rows. ``faults`` applies one fault plan
-    (:class:`~repro.faults.FaultSchedule` or
-    :class:`~repro.faults.ChaosSpec`) to every phase; ``transport``
-    enables the reliable transport (a
-    :class:`~repro.transport.TransportConfig`) in every phase;
-    ``cc_config`` (a :class:`~repro.cc.CCConfig`) selects the
-    congestion-control mechanism of the CC-on phases — the CC-off
-    phases stay mechanism-agnostic so every mechanism shares their
-    cache entries; ``resume_from`` replays a checkpointed run manifest.
-    """
-    from repro.parallel import run_campaign
-
-    if isinstance(scale, str):
-        scale = SCALES[scale]
+def table2_cells(scale: ScaleProfile, seed: int, opts) -> List[ExperimentConfig]:
+    """The four phases, in the paper's row order."""
     base = ExperimentConfig(
         scale=scale, b_fraction=0.0, c_fraction_of_rest=0.8, seed=seed, name="table2",
-        faults=faults, transport=transport,
     )
-    configs = [
+    return [
         base.with_(cc=False, contributors_active=False),
-        base.with_(cc=True, cc_config=cc_config, contributors_active=False),
+        base.with_(cc=True, contributors_active=False),
         base.with_(cc=False),
-        base.with_(cc=True, cc_config=cc_config),
+        base.with_(cc=True),
     ]
-    campaign = run_campaign(
-        configs,
-        jobs=jobs,
-        cache=cache,
-        retry=retry,
-        timeout_s=timeout_s,
-        max_rss_mb=max_rss_mb,
-        progress=reporter,
-        manifest_path=manifest_path,
-        run_fn=run_fn,
-        resume_from=resume_from,
-        retry_failed=retry_failed,
-    ).raise_on_failure()
-    baseline_no_cc, baseline_cc, hotspots_no_cc, hotspots_cc = campaign.results
-    return Table2Result(
-        baseline_no_cc=baseline_no_cc,
-        baseline_cc=baseline_cc,
-        hotspots_no_cc=hotspots_no_cc,
-        hotspots_cc=hotspots_cc,
-    )

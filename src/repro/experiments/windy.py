@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.experiments.config import SCALES, ExperimentConfig, ScaleProfile
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.config import ConfigError, ExperimentConfig, ScaleProfile
+from repro.experiments.runner import ExperimentResult
 
 DEFAULT_P_VALUES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -41,6 +41,15 @@ class WindyFigure:
 
     b_fraction: float
     points: List[WindyPoint]
+
+    @classmethod
+    def from_results(cls, results: Sequence[ExperimentResult]) -> "WindyFigure":
+        """The (off, on) pairs of :func:`windy_cells`, in order."""
+        return cls(
+            b_fraction=results[0].config.b_fraction,
+            points=[WindyPoint(p=off.config.p, off=off, on=on)
+                    for off, on in zip(results[::2], results[1::2])],
+        )
 
     def series(self) -> Dict[str, List[float]]:
         """Column-oriented data matching the paper's three panels."""
@@ -73,67 +82,38 @@ class WindyFigure:
         ]
         return "\n".join([head, *rows])
 
+    def render(self, opts) -> str:
+        """What ``ibcc-repro fig5``..``fig8`` print: the table, the peak
+        improvement and, with ``opts.chart``, panels (a) and (c)."""
+        peak = self.peak_improvement()
+        parts = [
+            self.format(),
+            f"peak improvement {peak.improvement:.1f}x at p={peak.p * 100:.0f}%",
+        ]
+        if opts.chart:
+            from repro.metrics import line_chart
 
-def run_windy_point(
-    b_fraction: float,
-    p: float,
-    scale: ScaleProfile | str = "default",
-    *,
-    seed: int = 7,
-) -> WindyPoint:
-    """One (x, p) cell of figures 5-8 (both CC settings)."""
-    if isinstance(scale, str):
-        scale = SCALES[scale]
-    cfg = ExperimentConfig(
-        scale=scale,
-        b_fraction=b_fraction,
-        p=p,
-        c_fraction_of_rest=0.8,
-        seed=seed,
-        name=f"windy-x{b_fraction:.2f}-p{p:.2f}",
-    )
-    return WindyPoint(
-        p=p,
-        off=run_experiment(cfg.with_(cc=False)),
-        on=run_experiment(cfg.with_(cc=True)),
-    )
+            series = self.series()
+            parts += ["", line_chart(
+                {"CC off": series["non_hotspot_off"],
+                 "CC on": series["non_hotspot_on"],
+                 "tmax": series["tmax"]},
+                series["p"], x_label="p (%)", y_label="non-hotspot rcv (Gbit/s)",
+            ), "", line_chart(
+                {"improvement": series["improvement"]},
+                series["p"], x_label="p (%)", y_label="CC throughput gain (x)",
+            )]
+        return "\n".join(parts)
 
 
-def run_windy_figure(
-    b_fraction: float,
-    scale: ScaleProfile | str = "default",
-    *,
-    p_values: Sequence[float] = DEFAULT_P_VALUES,
-    seed: int = 7,
-    jobs: int = 1,
-    cache=None,
-    retry=None,
-    timeout_s: float | None = None,
-    max_rss_mb: float | None = None,
-    reporter=None,
-    manifest_path: str | None = None,
-    run_fn=None,
-    faults=None,
-    transport=None,
-    cc_config=None,
-    resume_from=None,
-    retry_failed: bool = False,
-) -> WindyFigure:
-    """A whole figure's sweep: figures 5 (x=.25) through 8 (x=1.0).
-
-    The 2·len(p_values) cells (CC off and on per p) fan out through
-    :func:`repro.parallel.run_campaign`; ``jobs=1`` preserves the
-    historical serial order (off then on for each p). A cell that fails
-    after its retries raises
-    :class:`~repro.parallel.pool.CampaignError` — every point feeds the
-    figure's panels.
-    """
-    from repro.parallel import run_campaign
-
-    if isinstance(scale, str):
-        scale = SCALES[scale]
-    configs = []
-    for p in p_values:
+def windy_cells(
+    b_fraction: float, scale: ScaleProfile, seed: int, opts
+) -> List[ExperimentConfig]:
+    """CC off then on at each of ``opts.p_values``: figures 5 (x=.25) to 8 (x=1)."""
+    if not opts.p_values:
+        raise ConfigError("the p sweep is empty (--p-step must be > 0)")
+    cells = []
+    for p in opts.p_values:
         cfg = ExperimentConfig(
             scale=scale,
             b_fraction=b_fraction,
@@ -141,27 +121,6 @@ def run_windy_figure(
             c_fraction_of_rest=0.8,
             seed=seed,
             name=f"windy-x{b_fraction:.2f}-p{p:.2f}",
-            faults=faults,
-            transport=transport,
         )
-        configs.append(cfg.with_(cc=False))
-        configs.append(cfg.with_(cc=True, cc_config=cc_config))
-    campaign = run_campaign(
-        configs,
-        jobs=jobs,
-        cache=cache,
-        retry=retry,
-        timeout_s=timeout_s,
-        max_rss_mb=max_rss_mb,
-        progress=reporter,
-        manifest_path=manifest_path,
-        run_fn=run_fn,
-        resume_from=resume_from,
-        retry_failed=retry_failed,
-    ).raise_on_failure()
-    results = campaign.results
-    points = [
-        WindyPoint(p=p, off=results[2 * i], on=results[2 * i + 1])
-        for i, p in enumerate(p_values)
-    ]
-    return WindyFigure(b_fraction=b_fraction, points=points)
+        cells += [cfg.with_(cc=False), cfg.with_(cc=True)]
+    return cells

@@ -7,15 +7,14 @@ rate per node group, total network throughput, improvement factors and
 the analytic ``tmax`` curve of figures 5–8.
 """
 
-from repro.metrics.collector import Collector, NullCollector
+from repro.metrics.collector import Collector
 from repro.metrics.analysis import (
     mean_rate_gbps,
     group_rates,
-    improvement_factor,
     tmax_gbps,
     jain_fairness,
 )
-from repro.metrics.congestion_tree import congestion_snapshot, congested_ports
+from repro.metrics.congestion_tree import congested_ports
 from repro.metrics.timeseries import TimeSeries
 from repro.metrics.tree_tracker import CongestionTreeTracker, TreeDynamics
 from repro.metrics.ascii_chart import sparkline, line_chart
@@ -23,13 +22,10 @@ from repro.metrics.latency import LatencyTracker
 
 __all__ = [
     "Collector",
-    "NullCollector",
     "mean_rate_gbps",
     "group_rates",
-    "improvement_factor",
     "tmax_gbps",
     "jain_fairness",
-    "congestion_snapshot",
     "congested_ports",
     "TimeSeries",
     "CongestionTreeTracker",

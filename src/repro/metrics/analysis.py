@@ -32,13 +32,6 @@ def group_rates(
     return out
 
 
-def improvement_factor(with_cc: float, without_cc: float) -> float:
-    """``with_cc / without_cc`` — the paper's "Y times improvement"."""
-    if without_cc <= 0:
-        raise ValueError("baseline must be positive")
-    return with_cc / without_cc
-
-
 def tmax_gbps(
     *,
     n_nodes: int,

@@ -95,17 +95,3 @@ class Collector:
     def total_rx_rate_gbps(self, t_end: float) -> float:
         """Total network throughput (sum of node receive rates), Gbit/s."""
         return sum(self.rx_bytes) * 8.0 / self.measurement_window(t_end)
-
-
-class NullCollector:
-    """A do-nothing collector for tests that only care about dynamics."""
-
-    __slots__ = ()
-
-    def record_rx(self, node: int, pkt: Packet, now: float) -> None:
-        """Ignore (null sink)."""
-        pass
-
-    def record_tx(self, node: int, pkt: Packet, now: float) -> None:
-        """Ignore (null sink)."""
-        pass

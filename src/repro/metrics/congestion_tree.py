@@ -11,7 +11,7 @@ port upstream toward contributing inputs).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 
 def congested_ports(
@@ -26,24 +26,3 @@ def congested_ports(
             if sw.arbiters[out].queued_bytes[vl] > threshold:
                 result.append((sw.node_id, out))
     return result
-
-
-def congestion_snapshot(network, *, vl: int = 0) -> Dict[str, object]:
-    """A structural snapshot of current congestion.
-
-    Returns the per-switch buffered bytes, the congested ports, and the
-    set of (switch, input-port) feeding each congested output — i.e.
-    the first level of branches of each congestion tree.
-    """
-    ports = congested_ports(network, vl=vl)
-    branches: Dict[Tuple[int, int], List[int]] = {}
-    for sw_id, out in ports:
-        branches[(sw_id, out)] = network.switches[sw_id].arbiters[out].feeders(vl)
-    return {
-        "time_ns": network.sim.now,
-        "buffered_bytes": {
-            sw.node_id: sw.total_buffered() for sw in network.switches
-        },
-        "congested_ports": ports,
-        "branches": branches,
-    }

@@ -28,7 +28,7 @@ from repro.network.network import Network, NetworkConfig
 from repro.network.adaptive import AdaptiveUpRouter, install_adaptive_routing
 from repro.network.vlarb import VlArbitrationTable, install_vl_arbitration
 from repro.network.deadlock import DeadlockWatchdog, DeadlockReport, detect_deadlock
-from repro.network.degrade import degrade_link, degrade_uplink_between, degraded_ports
+from repro.network.degrade import degrade_link, degrade_uplink_between
 
 __all__ = [
     "Packet",
@@ -51,5 +51,4 @@ __all__ = [
     "detect_deadlock",
     "degrade_link",
     "degrade_uplink_between",
-    "degraded_ports",
 ]

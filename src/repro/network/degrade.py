@@ -12,7 +12,7 @@ while the ports feeding it starve and stay victims.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.network.ports import LinkConfig
 
@@ -33,20 +33,6 @@ def degrade_link(network, switch_id: int, port: int, factor: float) -> float:
     return new_rate
 
 
-def restore_link(network, switch_id: int, port: int) -> float:
-    """Undo :func:`degrade_link`: reset the port to the configured rate.
-
-    Returns the restored rate in Gbit/s. Restoring a never-degraded
-    port is a no-op (the configured rate is re-applied). In-flight
-    packets keep the timing they started with, mirroring
-    :func:`degrade_link`.
-    """
-    out = network.switches[switch_id].output_ports[port]
-    base = network.config.link
-    out.link = LinkConfig(base.rate_gbps, out.link.prop_delay_ns)
-    return base.rate_gbps
-
-
 def degrade_uplink_between(network, leaf: int, spine: int, factor: float) -> Tuple[int, int]:
     """Degrade the leaf->spine direction of a folded-Clos uplink.
 
@@ -62,14 +48,3 @@ def degrade_uplink_between(network, leaf: int, spine: int, factor: float) -> Tup
     port = hpl + spine
     degrade_link(network, leaf, port, factor)
     return (leaf, port)
-
-
-def degraded_ports(network) -> List[Tuple[int, int, float]]:
-    """(switch, port, rate_gbps) of every port slower than the config."""
-    base = network.config.link.rate_gbps
-    out = []
-    for sw in network.switches:
-        for idx, port in enumerate(sw.output_ports):
-            if port.link.rate_gbps < base:
-                out.append((sw.node_id, idx, port.link.rate_gbps))
-    return out

@@ -23,10 +23,10 @@ and reports it once as a terminal :class:`CellOutcome`:
 * :mod:`repro.parallel.manifest` — :class:`RunManifest` (the JSON run
   record).
 
-Every experiment driver (``sweep``, ``run_table2``, the windy/moving
-figures, and the ``ibcc-repro`` CLI) accepts ``jobs=``/``cache=`` and
-routes through :func:`run_campaign`; results are identical at any
-``jobs`` value.
+Every experiment entry point (``sweep``, ``run_artifact`` — and so
+every paper artifact and the ``ibcc-repro`` CLI) accepts
+``jobs=``/``cache=`` and routes through :func:`run_campaign`; results
+are identical at any ``jobs`` value.
 """
 
 from repro.parallel.cache import CellCache, NullCache, as_cache

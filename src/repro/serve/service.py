@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import errno
 import json
 import logging
 import os
@@ -237,6 +238,8 @@ class CampaignService:
         self.journal_path = os.path.join(self.serve_dir, "campaigns.jsonl")
         #: The journal's O_APPEND descriptor, opened by the first append.
         self._journal_fd: Optional[int] = None
+        #: The journal's length after the last synced line.
+        self._journal_end = 0
         self.sim_log = os.path.join(self.serve_dir, "sim.log")
         self.workers = max(1, workers)
         self.limits = limits or AdmissionLimits()
@@ -368,14 +371,16 @@ class CampaignService:
             priority=priority,
             created_at=time.time(),
         )
-        for i, (cfg, key, _) in enumerate(parsed):
-            cell = CellState(index=i, key=key, config=cfg)
-            campaign.cells.append(cell)
+        campaign.cells = [CellState(index=i, key=key, config=cfg)
+                          for i, (cfg, key, _) in enumerate(parsed)]
+        # The journal line is the submission's one durable write (see
+        # the module docstring for why no manifest is needed yet); a
+        # campaign exists only once it is down, so a failed write
+        # leaves nothing queued to run.
+        self._journal(campaign, [data for _, _, data in parsed])
+        for cell in campaign.cells:
             self._attach(campaign, cell)
         self.campaigns[campaign.id] = campaign
-        # The journal line is the submission's one durable write; see
-        # the module docstring for why no manifest is needed yet.
-        self._journal(campaign, [data for _, _, data in parsed])
         self._pump()
         return campaign
 
@@ -704,8 +709,17 @@ class CampaignService:
                     os.fsync(dir_fd)
                 finally:
                     os.close(dir_fd)
-        os.write(self._journal_fd, (json.dumps(spec) + "\n").encode())
-        os.fdatasync(self._journal_fd)
+            self._journal_end = os.lseek(self._journal_fd, 0, os.SEEK_END)
+        line = (json.dumps(spec) + "\n").encode()
+        try:
+            if os.write(self._journal_fd, line) != len(line):
+                raise OSError(errno.ENOSPC, "short journal write")
+            os.fdatasync(self._journal_fd)
+        except OSError:
+            # Cut the unsynced line so the refused request never replays.
+            os.ftruncate(self._journal_fd, self._journal_end)
+            raise
+        self._journal_end += len(line)
 
     def _checkpoint_all(self) -> None:
         for campaign in list(self.campaigns.values()):

@@ -23,8 +23,6 @@ from repro.topology.torus import torus, mesh
 from repro.topology.analysis import (
     path_ports,
     host_path,
-    validate_lfts,
-    link_load_for_pattern,
 )
 
 __all__ = [
@@ -40,6 +38,4 @@ __all__ = [
     "mesh",
     "path_ports",
     "host_path",
-    "validate_lfts",
-    "link_load_for_pattern",
 ]

@@ -9,8 +9,7 @@ congestion tree will occupy) and by the congestion-tree analysis in
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.topology.spec import Topology
 
@@ -65,26 +64,3 @@ def path_ports(topo: Topology, src: int, dst: int) -> List[Tuple[int, int]]:
         sw = node[1]
         hops.append((sw, topo.lfts[sw][dst]))
     return hops
-
-
-def validate_lfts(topo: Topology) -> None:
-    """Check that every host pair is routed without loops or dead ends."""
-    for src in range(topo.n_hosts):
-        for dst in range(topo.n_hosts):
-            if src != dst:
-                host_path(topo, src, dst)
-
-
-def link_load_for_pattern(
-    topo: Topology, flows: Iterable[Tuple[int, int]]
-) -> Counter:
-    """Count how many flows cross each (switch, out-port) directed link.
-
-    Useful to predict contention points: the paper's hotspots are hosts
-    whose final link accumulates all contributor flows.
-    """
-    load: Counter = Counter()
-    for src, dst in flows:
-        for hop in path_ports(topo, src, dst):
-            load[hop] += 1
-    return load

@@ -25,7 +25,7 @@ via ``run_fn=TracedRun(...)`` / the CLI's ``--trace``/``--trace-dir``.
 """
 
 from repro.trace.auditor import TraceAuditor, TraceViolation
-from repro.trace.digest import DigestSink, digest_of_jsonl, digest_of_records
+from repro.trace.digest import DigestSink, digest_of_jsonl
 from repro.trace.records import (
     ALL_EVENTS,
     EV_BECN,
@@ -64,5 +64,4 @@ __all__ = [
     "Tracer",
     "canonical_line",
     "digest_of_jsonl",
-    "digest_of_records",
 ]

@@ -17,7 +17,7 @@ import hashlib
 import io
 import json
 import pickle
-from typing import Iterable, List
+from typing import List
 
 from repro.trace.records import TraceRecord
 
@@ -72,14 +72,6 @@ class DigestSink:
         if self.buf:
             h.update(_encode(self.buf))
         return h.hexdigest()[:DIGEST_HEX_CHARS]
-
-
-def digest_of_records(records: Iterable[TraceRecord]) -> str:
-    """Digest an in-memory record stream (e.g. a ring buffer's)."""
-    sink = DigestSink()
-    for rec in records:
-        sink.write(rec)
-    return sink.hexdigest()
 
 
 def digest_of_jsonl(path: str) -> str:

@@ -12,7 +12,7 @@ from repro.engine import RngRegistry, Simulator
 from repro.experiments.config import ScaleProfile
 from repro.metrics import Collector
 from repro.network import HcaConfig, Network, NetworkConfig
-from repro.topology import folded_clos, three_stage_fat_tree
+from repro.topology import folded_clos, host_path, three_stage_fat_tree
 from repro.traffic import BNodeSource, FixedRateSource, HotspotSchedule
 
 try:
@@ -44,6 +44,13 @@ def pytest_addoption(parser):
 @pytest.fixture
 def update_golden(request):
     return request.config.getoption("--update-golden")
+
+
+def route_all_pairs(topo) -> None:
+    """Route every host pair; ``host_path`` raises on a loop or dead end."""
+    for src in range(topo.n_hosts):
+        for dst in range(topo.n_hosts):
+            host_path(topo, src, dst)
 
 
 # A micro scale profile so experiment-layer tests run in milliseconds.

@@ -84,6 +84,11 @@ class TestParser:
     def test_faults_artifact_rejects_fault_flags(self):
         assert main(["faults", "--chaos", "7"]) == 2
 
+    def test_empty_p_sweep_is_exit_code_2(self):
+        # A p step <= 0 sweeps nothing; it is refused before any cell runs.
+        assert main(["fig5", "--scale", "quick", "--p-step", "0"]) == 2
+        assert main(["fig8", "--scale", "quick", "--p-step", "-10"]) == 2
+
 
 class TestMainSmoke:
     """End-to-end CLI runs at quick scale with a coarse sweep.

@@ -1,7 +1,7 @@
 """Tests for the congestion-tree observation helpers."""
 
 from repro.engine import RngRegistry, Simulator
-from repro.metrics import congested_ports, congestion_snapshot
+from repro.metrics import congested_ports
 
 from tests.conftest import attach_hotspot_contributors, build_network
 
@@ -33,17 +33,6 @@ class TestCongestionObservation:
         net = self._congested_network()
         switches = {sw for sw, _ in congested_ports(net)}
         assert len(switches) >= 2
-
-    def test_snapshot_structure(self):
-        net = self._congested_network()
-        snap = congestion_snapshot(net)
-        assert snap["time_ns"] == net.sim.now
-        assert set(snap["buffered_bytes"]) == {
-            sw.node_id for sw in net.switches
-        }
-        for port, feeders in snap["branches"].items():
-            assert port in snap["congested_ports"]
-            assert feeders  # a congested port has at least one feeder
 
     def test_fraction_parameter(self):
         net = self._congested_network()

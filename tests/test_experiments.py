@@ -5,12 +5,10 @@ import pytest
 from repro.core import CCParams
 from repro.experiments import (
     SCALES,
+    ArtifactOptions,
     ExperimentConfig,
+    run_artifact,
     run_experiment,
-    run_moving_figure,
-    run_moving_point,
-    run_table2,
-    run_windy_point,
 )
 
 from tests.conftest import MICRO_SCALE
@@ -105,7 +103,7 @@ class TestRunExperiment:
 
 class TestTable2Driver:
     def test_rows_and_shape(self):
-        t2 = run_table2(MICRO_SCALE, seed=3)
+        t2, _ = run_artifact("table2", MICRO_SCALE, seed=3)
         rows = t2.rows()
         assert set(rows) == {
             "no_hotspots_no_cc_avg",
@@ -123,34 +121,43 @@ class TestTable2Driver:
         assert t2.improvement > 1.0
 
     def test_format_is_printable(self):
-        t2 = run_table2(MICRO_SCALE, seed=3)
+        t2, _ = run_artifact("table2", MICRO_SCALE, seed=3)
         text = t2.format()
         assert "Table II" in text and "Improvement" in text
 
 
+def fig8_point(p):
+    """The one point of figure 8 (x = 100 %) swept at ``p`` alone."""
+    fig, _ = run_artifact(
+        "fig8", MICRO_SCALE, seed=3, opts=ArtifactOptions(p_values=(p,))
+    )
+    (pt,) = fig.points
+    return pt
+
+
 class TestWindyDriver:
     def test_point_structure(self):
-        pt = run_windy_point(1.0, 0.6, MICRO_SCALE, seed=3)
+        pt = fig8_point(0.6)
         assert pt.improvement > 0
         assert pt.tmax == pt.on.tmax
 
     def test_cc_wins_at_mid_p(self):
-        pt = run_windy_point(1.0, 0.6, MICRO_SCALE, seed=3)
+        pt = fig8_point(0.6)
         assert pt.on.non_hotspot > pt.off.non_hotspot
 
 
 class TestMovingDriver:
     def test_point_and_figure(self):
-        fig = run_moving_figure(
-            MICRO_SCALE, c_fraction_of_rest=0.8, label="test", seed=3
-        )
+        fig, _ = run_artifact("fig9a", MICRO_SCALE, seed=3)
         assert len(fig.points) == len(MICRO_SCALE.moving_lifetimes_ns)
         series = fig.series()
         assert len(series["lifetime_ms"]) == len(fig.points)
-        assert "test" in fig.format()
+        assert "20% V / 80% C" in fig.format()
 
     def test_moving_hotspots_actually_move(self):
-        pt = run_moving_point(0.5e6, MICRO_SCALE, seed=3)
+        fig, _ = run_artifact("fig9a", MICRO_SCALE, seed=3)
+        (pt,) = fig.points
+        assert pt.lifetime_ns == 0.5e6 == MICRO_SCALE.moving_lifetimes_ns[0]
         # With a 0.5 ms lifetime over a 2 ms run, several relocations
         # happened; the run completes and produces rates.
         assert pt.on.total > 0 and pt.off.total > 0

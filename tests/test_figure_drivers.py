@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import run_moving_figure, run_windy_figure
+from repro.experiments import ArtifactOptions, run_artifact
 from repro.metrics import line_chart
 
 from tests.conftest import MICRO_SCALE
@@ -10,12 +10,13 @@ from tests.conftest import MICRO_SCALE
 
 @pytest.fixture(scope="module")
 def windy_fig():
-    return run_windy_figure(1.0, MICRO_SCALE, p_values=(0.0, 0.6, 1.0), seed=3)
+    opts = ArtifactOptions(p_values=(0.0, 0.6, 1.0))
+    return run_artifact("fig8", MICRO_SCALE, seed=3, opts=opts)[0]
 
 
 @pytest.fixture(scope="module")
 def moving_fig():
-    return run_moving_figure(MICRO_SCALE, b_fraction=1.0, p=0.6, label="t", seed=3)
+    return run_artifact("fig10", MICRO_SCALE, seed=3)[0]
 
 
 class TestWindyFigure:
@@ -46,6 +47,16 @@ class TestWindyFigure:
         )
         assert "on" in chart and "off" in chart
 
+    def test_render_adds_the_peak_and_with_chart_two_panels(self, windy_fig):
+        plain = windy_fig.render(ArtifactOptions())
+        peak = windy_fig.peak_improvement()
+        assert plain == windy_fig.format() + (
+            f"\npeak improvement {peak.improvement:.1f}x at p={peak.p * 100:.0f}%"
+        )
+        charted = windy_fig.render(ArtifactOptions(chart=True))
+        assert charted.startswith(plain + "\n\n")
+        assert "p (%)" in charted and "CC throughput gain (x)" in charted
+
 
 class TestMovingFigure:
     def test_series_alignment(self, moving_fig):
@@ -60,6 +71,15 @@ class TestMovingFigure:
     def test_format(self, moving_fig):
         text = moving_fig.format()
         assert "Moving hotspots" in text and "improv" in text
+
+    def test_render_is_the_table_and_with_chart_one_panel(self, moving_fig):
+        assert moving_fig.render(ArtifactOptions()) == moving_fig.format()
+        charted = moving_fig.render(ArtifactOptions(chart=True))
+        assert charted.startswith(moving_fig.format() + "\n\n")
+        assert "hotspot lifetime (ms)" in charted
+
+    def test_label_names_the_mix(self, moving_fig):
+        assert moving_fig.label == "100% B, p=60"
 
     def test_improvement_definition(self, moving_fig):
         pt = moving_fig.points[0]

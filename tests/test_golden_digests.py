@@ -23,8 +23,7 @@ import pytest
 
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.runner import TracedRun, config_slug, run_experiment
-from repro.experiments.table2 import run_table2
-from repro.experiments.windy import run_windy_figure
+from repro.experiments.artifacts import ArtifactOptions, run_artifact
 from repro.trace import TraceSpec
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "digests.json")
@@ -87,25 +86,17 @@ def _check_goldens(results, update_golden: bool) -> None:
 
 @pytest.mark.slow
 def test_table2_quick_golden(update_golden):
-    table = run_table2("quick", seed=7, run_fn=TracedRun())
-    _check_goldens(
-        [
-            table.baseline_no_cc,
-            table.baseline_cc,
-            table.hotspots_no_cc,
-            table.hotspots_cc,
-        ],
-        update_golden,
-    )
+    _, results = run_artifact("table2", "quick", seed=7, run_fn=TracedRun())
+    _check_goldens(results, update_golden)
 
 
 @pytest.mark.slow
 def test_windy_quick_golden(update_golden):
-    fig = run_windy_figure(
-        1.0, "quick", p_values=[0.6], seed=7, run_fn=TracedRun()
+    _, results = run_artifact(
+        "fig8", "quick", seed=7, opts=ArtifactOptions(p_values=(0.6,)),
+        run_fn=TracedRun(),
     )
-    point = fig.points[0]
-    _check_goldens([point.off, point.on], update_golden)
+    _check_goldens(results, update_golden)
 
 
 # ----------------------------------------------------------------------

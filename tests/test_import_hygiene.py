@@ -23,6 +23,17 @@ REPORT = (
 )
 
 
+# ``python -m repro serve --help``; it exits through SystemExit after
+# argparse printed.
+SERVE_HELP = (
+    "import contextlib, io, runpy, sys\n"
+    "sys.argv = ['repro', 'serve', '--help']\n"
+    "with contextlib.redirect_stdout(io.StringIO()), "
+    "contextlib.suppress(SystemExit):\n"
+    "    runpy.run_module('repro', run_name='__main__')"
+)
+
+
 def run_python(*args: str) -> str:
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
@@ -35,15 +46,26 @@ def run_python(*args: str) -> str:
 @pytest.mark.parametrize("statement", [
     "import repro",
     "from repro.experiments.runner import run_experiment",
-    # ``serve --help`` exits through SystemExit after argparse printed.
-    "import contextlib, io, runpy, sys\n"
-    "sys.argv = ['repro', 'serve', '--help']\n"
-    "with contextlib.redirect_stdout(io.StringIO()), "
-    "contextlib.suppress(SystemExit):\n"
-    "    runpy.run_module('repro', run_name='__main__')",
+    SERVE_HELP,
 ])
 def test_heavy_libraries_stay_unloaded(statement):
     out = run_python("-c", statement + "\n" + REPORT)
+    assert out.strip().splitlines()[-1] == "[]"
+
+
+ARTIFACT_MODULES = tuple(
+    f"repro.experiments.{name}"
+    for name in ("table2", "windy", "moving", "fault_scenarios", "arena")
+)
+
+
+def test_serve_loads_no_artifact_module():
+    # The daemon and its workers simulate cells, not paper artifacts:
+    # the CLI hands ``serve`` off before it imports any of them.
+    out = run_python("-c", (
+        SERVE_HELP + "\n"
+        f"print(sorted(m for m in {ARTIFACT_MODULES!r} if m in sys.modules))"
+    ))
     assert out.strip().splitlines()[-1] == "[]"
 
 

@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from repro.metrics import (
     Collector,
-    NullCollector,
     group_rates,
-    improvement_factor,
     jain_fairness,
     mean_rate_gbps,
     tmax_gbps,
@@ -75,12 +73,6 @@ class TestCollector:
         col.record_rx(1, Packet(0, 1, 1250), 1.0)
         assert col.total_rx_rate_gbps(1000.0) == pytest.approx(20.0)
 
-    def test_null_collector_noops(self):
-        n = NullCollector()
-        n.record_rx(0, Packet(0, 1, 10), 0.0)
-        n.record_tx(0, Packet(0, 1, 10), 0.0)
-
-
 class TestGroupRates:
     def test_split(self):
         rates = [10.0, 1.0, 2.0, 3.0]
@@ -136,13 +128,6 @@ class TestTmax:
 
 
 class TestImprovementAndFairness:
-    def test_improvement(self):
-        assert improvement_factor(20.0, 10.0) == 2.0
-
-    def test_improvement_zero_baseline(self):
-        with pytest.raises(ValueError):
-            improvement_factor(1.0, 0.0)
-
     def test_jain_equal_is_one(self):
         assert jain_fairness([5.0, 5.0, 5.0]) == pytest.approx(1.0)
 

@@ -4,12 +4,7 @@ import pytest
 
 from repro.core import CCManager, CCParams
 from repro.engine import RngRegistry, Simulator
-from repro.network.degrade import (
-    degrade_link,
-    degrade_uplink_between,
-    degraded_ports,
-    restore_link,
-)
+from repro.network.degrade import degrade_link, degrade_uplink_between
 
 from tests.conftest import attach_fixed_flow, build_network
 
@@ -30,25 +25,7 @@ class TestDegrade:
         net, _, _ = build_network(sim, radix=4)
         new_rate = degrade_link(net, 0, 2, 0.25)
         assert new_rate == pytest.approx(5.0)
-        assert degraded_ports(net) == [(0, 2, pytest.approx(5.0))]
-
-    def test_restore_round_trip(self):
-        sim = Simulator()
-        net, _, _ = build_network(sim, radix=4)
-        base = net.switches[0].output_ports[2].link.rate_gbps
-        degrade_link(net, 0, 2, 0.25)
-        assert degraded_ports(net)
-        restored = restore_link(net, 0, 2)
-        assert restored == pytest.approx(base)
-        assert net.switches[0].output_ports[2].link.rate_gbps == pytest.approx(base)
-        assert degraded_ports(net) == []
-
-    def test_restore_never_degraded_is_noop(self):
-        sim = Simulator()
-        net, _, _ = build_network(sim, radix=4)
-        base = net.switches[0].output_ports[2].link.rate_gbps
-        assert restore_link(net, 0, 2) == pytest.approx(base)
-        assert degraded_ports(net) == []
+        assert net.switches[0].output_ports[2].link.rate_gbps == pytest.approx(5.0)
 
     def test_uplink_helper_targets_right_port(self):
         sim = Simulator()

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_experiment, run_table2
+from repro.experiments import ExperimentConfig, run_artifact, run_experiment
 from repro.experiments.config import ScaleProfile
 from repro.experiments.sweep import sweep
 from repro.experiments.store import ResultStore, config_key
@@ -184,7 +184,7 @@ class TestSerialIdentity:
         assert sweep(base, grid, jobs=1).to_csv() == out.getvalue()
 
     def test_table2_jobs1_matches_direct_phases(self):
-        table = run_table2(TINY_SCALE, seed=5, jobs=1)
+        table, _ = run_artifact("table2", TINY_SCALE, seed=5, jobs=1)
         base = ExperimentConfig(
             scale=TINY_SCALE, b_fraction=0.0, c_fraction_of_rest=0.8,
             seed=5, name="table2",

@@ -6,6 +6,7 @@ tests live in ``test_serve_replay.py``.
 """
 
 import asyncio
+import errno
 import json
 import logging
 import os
@@ -321,6 +322,34 @@ class TestAdmissionJournal:
         campaign = service.submit([micro_cell(seed=1)])
         (on_disk,) = synced
         assert json.loads(on_disk)["id"] == campaign.id
+
+    def test_a_failed_append_admits_nothing_and_replays_nothing(
+        self, journal_service, monkeypatch
+    ):
+        def enospc(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        service = journal_service()
+        monkeypatch.setattr(os, "fdatasync", enospc)
+        with pytest.raises(OSError):
+            service.submit([micro_cell(seed=1)])
+        monkeypatch.undo()
+        assert service.campaigns == {}
+        assert len(service.scheduler) == 0 and len(service.flights) == 0
+        assert _journal(service) == b""
+
+        kept = service.submit([micro_cell(seed=2)]).id
+        before = _journal(service)
+        monkeypatch.setattr(os, "fdatasync", enospc)
+        with pytest.raises(OSError):
+            service.submit([micro_cell(seed=3)])
+        monkeypatch.undo()
+        assert list(service.campaigns) == [kept]
+        assert len(service.scheduler) == 1 and len(service.flights) == 1
+        assert _journal(service) == before
+        fresh = journal_service()
+        assert fresh.recover()["campaigns"] == 1
+        assert list(fresh.campaigns) == [kept]
 
     def test_a_cancels_later_line_wins_on_recovery(self, journal_service):
         first = journal_service()

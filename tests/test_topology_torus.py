@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.topology import host_path, mesh, torus, validate_lfts
+from repro.topology import host_path, mesh, torus
 from repro.topology.torus import _coords, _index
+
+from tests.conftest import route_all_pairs
 
 
 class TestCoordinateMath:
@@ -39,7 +41,7 @@ class TestStructure:
     def test_3d(self):
         topo = torus([2, 3, 4])
         assert topo.n_hosts == 24
-        validate_lfts(topo)
+        route_all_pairs(topo)
 
     def test_k2_has_single_link_per_dim(self):
         # k=2: +1 and wraparound are the same neighbour; only one cable.
@@ -64,7 +66,7 @@ class TestRouting:
     )
     @settings(max_examples=20, deadline=None)
     def test_every_pair_routable(self, dims, wrap):
-        validate_lfts(torus(dims, wrap=wrap))
+        route_all_pairs(torus(dims, wrap=wrap))
 
     def test_dimension_order(self):
         # In a 4x4 mesh, 0 -> 15 first corrects dim 0 (rows), then dim 1.

@@ -22,7 +22,6 @@ from repro.trace import (
     Tracer,
     canonical_line,
     digest_of_jsonl,
-    digest_of_records,
 )
 from repro.trace.auditor import MAX_STORED_VIOLATIONS
 from repro.trace.digest import CHUNK_RECORDS, _encode
@@ -42,6 +41,14 @@ def test_event_tags_unique():
 
 
 # ---------------------------------------------------------------- digests
+
+def digest_of_records(records) -> str:
+    """Digest an in-memory record stream through the run's own sink."""
+    sink = DigestSink()
+    for rec in records:
+        sink.write(rec)
+    return sink.hexdigest()
+
 
 RECORDS = [
     ("inj", 0.0, 1, 0, 0, 2048),
