@@ -24,7 +24,6 @@ from repro.topology import (
     three_stage_fat_tree,
     sun_dcs_648,
     folded_clos,
-    topology_from_graph,
     Topology,
 )
 from repro.traffic import BNodeSource, FixedRateSource, HotspotSchedule, assign_roles
@@ -52,7 +51,6 @@ __all__ = [
     "three_stage_fat_tree",
     "sun_dcs_648",
     "folded_clos",
-    "topology_from_graph",
     "Topology",
     "BNodeSource",
     "FixedRateSource",

@@ -7,13 +7,14 @@ consumer never perturbs the draws seen by existing components — runs
 stay reproducible across code evolution.
 
 A stream is a bit-exact, pure-Python port of numpy's
-``Generator(PCG64(SeedSequence(entropy)))``, so ``import repro`` never
-loads numpy. Ported step for step: seeding, scalar ``random()`` and
-``uniform()``, ``integers()`` over ranges up to 2**32, ``permutation(n)``
-and ``choice(n, k, replace=False)`` for n <= 10 000. Every other call
-(``size=``, ``poisson``, ``exponential``, wider ranges, ``p=``) is
-handed to numpy on the stream's exact PCG64 state, which is read back
-after. ``tests/test_engine_rng.py`` pins both paths against numpy.
+``Generator(PCG64(SeedSequence(entropy)))``: the runtime needs no
+numpy. Ported step for step, and the only draws a stream has: scalar
+``random()`` and ``uniform()``, ``integers()`` over ranges of up to
+2**32 values, ``permutation(n)``, ``choice(n, k, replace=False)`` and
+``poisson(lam)``. Anything else (``size=``, ``exponential``, 64-bit
+ranges, ``p=``) raises rather than drawing something numpy would not.
+``tests/test_engine_rng.py`` pins every draw and the final state
+against numpy.
 
 **This module is the enforced randomness contract.** simlint rule
 DET001 (:mod:`repro.lint`) statically rejects any other source of
@@ -29,15 +30,21 @@ its own seed (see :func:`repro.faults.chaos.chaos_schedule`).
 
 from __future__ import annotations
 
+import math
 import numbers
-from functools import partial
-from typing import Any, Callable, Dict, Hashable, Iterable, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PORTED_N = 10_000  # numpy's choice tail-shuffles above this population
+_INF = float("inf")
+_POISSON_LAM_MAX = 9.223372006484771e18  # numpy refuses a larger lam
+_LOGGAM_A = (8.333333333333333e-02, -2.777777777777778e-03,
+             7.936507936507937e-04, -5.952380952380952e-04,
+             8.417508417508418e-04, -1.917526917526918e-03,
+             6.410256410256410e-03, -2.955065359477124e-02,
+             1.796443723688307e-01, -1.39243221690590e+00)
 
 
 def _hasher(h: int, mult: int) -> Callable[[int], int]:
@@ -116,45 +123,48 @@ class RngStream:
                 m = self._next32() * excl
         return m >> 32
 
-    def random(self, size: Any = None, **kwargs: Any) -> Any:
-        if size is not None or kwargs:
-            return self._numpy("random", size, **kwargs)
+    def random(self) -> float:
         return (self._next64() >> 11) * 2.0 ** -53
 
-    def uniform(self, low: Any = 0.0, high: Any = 1.0, size: Any = None) -> Any:
-        if size is None and {type(low), type(high)} <= {int, float}:
-            span = float(high) - float(low)
-            if 0.0 <= span < float("inf"):
-                return float(low) + span * self.random()
-        return self._numpy("uniform", low, high, size)
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        span = float(high) - float(low)
+        if not 0.0 <= span < _INF:
+            raise ValueError(f"uniform({low}, {high}): high - low must be "
+                             "finite and non-negative")
+        return float(low) + span * self.random()
 
-    def integers(self, low: Any, high: Any = None, size: Any = None,
-                 **kwargs: Any) -> Any:
+    def integers(self, low: int, high: Optional[int] = None) -> int:
         lo, hi = (0, low) if high is None else (low, high)
-        if (size is None and not kwargs and type(lo) is int and type(hi) is int
-                and -(1 << 63) <= lo < hi <= 1 << 63 and hi - lo <= 1 << 32):
-            return lo + self._bounded(hi - 1 - lo)
-        return self._numpy("integers", low, high, size, **kwargs)
+        if not 0 < hi - lo <= 1 << 32:
+            raise ValueError(f"integers({low}, {high}): the range must hold "
+                             "1 to 2**32 values")
+        return lo + self._bounded(hi - 1 - lo)
 
-    def permutation(self, x: Any) -> Any:
-        if type(x) is not int or not 0 <= x <= _PORTED_N:
-            return self._numpy("permutation", x)
-        perm = list(range(x))
-        for i in range(x - 1, 0, -1):
+    def permutation(self, n: int) -> List[int]:
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
             mask = (1 << i.bit_length()) - 1
             while (j := self._next32() & mask) > i:
                 pass
             perm[i], perm[j] = perm[j], perm[i]
         return perm
 
-    def choice(self, a: Any, size: Any = None, replace: bool = True,
-               p: Any = None, **kwargs: Any) -> Any:
-        if (replace is not False or p is not None or kwargs or type(a) is not int
-                or type(size) is not int or not 0 <= size <= a <= _PORTED_N):
-            return self._numpy("choice", a, size, replace, p, **kwargs)
+    def choice(self, a: int, size: int, replace: bool = True) -> List[int]:
+        """``size`` distinct values of ``range(a)``: only ``replace=False``."""
+        if replace is not False or not 0 <= size <= a <= 1 << 32:
+            raise ValueError(f"choice({a}, size={size}, replace={replace}): "
+                             "only 0 <= size <= a <= 2**32 without "
+                             "replacement is supported")
+        if a > 10_000 and size > a // 50:
+            # numpy shuffles the tail of range(a) and keeps it.
+            picks = list(range(a))
+            for i in range(a - 1, max(a - size, 1) - 1, -1):
+                j = self._bounded(i)
+                picks[i], picks[j] = picks[j], picks[i]
+            return picks[a - size:]
         # Floyd's sample, then a Fisher-Yates shuffle of the picks.
-        picks: list[int] = []
-        seen: set[int] = set()
+        picks = []
+        seen: Set[int] = set()
         for j in range(a - size, a):
             v = self._bounded(j)
             picks.append(j if v in seen else v)
@@ -164,23 +174,59 @@ class RngStream:
             picks[i], picks[j] = picks[j], picks[i]
         return picks
 
-    def _numpy(self, method: str, *args: Any, **kwargs: Any) -> Any:
-        """Run one numpy ``Generator`` call on this stream's exact state."""
-        import numpy as np
-        bitgen = np.random.PCG64(0)
-        bitgen.state = self.state
-        try:
-            return getattr(np.random.Generator(bitgen), method)(*args, **kwargs)
-        finally:
-            st = bitgen.state
-            self._state, self._inc = st["state"]["state"], st["state"]["inc"]
-            self._has32, self._u32 = st["has_uint32"], st["uinteger"]
+    def poisson(self, lam: float) -> int:
+        """numpy's ``random_poisson``: multiplication below 10, else PTRS."""
+        lam = float(lam)
+        if not 0.0 <= lam <= _POISSON_LAM_MAX:
+            raise ValueError(f"poisson({lam}): lam must be finite and >= 0")
+        if lam == 0.0:
+            return 0
+        if lam < 10.0:
+            enlam, k, prod = math.exp(-lam), 0, 1.0
+            while True:
+                prod *= self.random()
+                if prod <= enlam:
+                    return k
+                k += 1
+        # Hoermann's transformed rejection (PTRS).
+        slam, loglam = math.sqrt(lam), math.log(lam)
+        b = 0.931 + 2.53 * slam
+        a = -0.059 + 0.02483 * b
+        invalpha = 1.1239 + 1.1328 / (b - 3.4)
+        vr = 0.9277 - 3.6224 / (b - 2)
+        while True:
+            u = self.random() - 0.5
+            v = self.random()
+            us = 0.5 - abs(u)
+            if us == 0.0:  # numpy's k is then negative: rejected
+                continue
+            k = math.floor((2 * a / us + b) * u + lam + 0.43)
+            if us >= 0.07 and v <= vr:
+                return k
+            if k < 0 or (us < 0.013 and v > us):
+                continue
+            # At v == 0 numpy's log(v) is -inf, which always accepts.
+            if v == 0.0 or (
+                    math.log(v) + math.log(invalpha) - math.log(a / (us * us) + b)
+                    <= -lam + k * loglam - _loggam(k + 1)):
+                return k
 
-    def __getattr__(self, name: str) -> Any:
-        # Every Generator method not ported above goes through numpy.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return partial(self._numpy, name)
+
+def _loggam(x: float) -> float:
+    """numpy's ``random_loggam``: log Gamma(x) by its Stirling series."""
+    if x == 1.0 or x == 2.0:
+        return 0.0
+    n = int(7 - x) if x < 7.0 else 0
+    x0 = x + n
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = _LOGGAM_A[9]
+    for k in range(8, -1, -1):
+        gl0 = gl0 * x2 + _LOGGAM_A[k]
+    gl = gl0 / x0 + 0.5 * 1.8378770664093453 + (x0 - 0.5) * math.log(x0) - x0
+    for _ in range(n):
+        gl -= math.log(x0 - 1.0)
+        x0 -= 1.0
+    return gl
 
 
 class RngRegistry:

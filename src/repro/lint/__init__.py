@@ -55,8 +55,6 @@ CON002    module-level mutable state mutated by code reachable from a
           worker-process entry point
 CON003    asyncio loop-owned state written from thread context without
           ``call_soon_threadsafe``
-MPC0xx    ``--mypyc-report`` compile-readiness pass over
-          ``engine``/``network`` (opt-in, info only)
 ========  ==============================================================
 
 Suppress a finding with a line pragma ``# simlint: disable=DET001`` on
@@ -73,7 +71,7 @@ Programmatic use::
     assert not report.errors, report.format()
 
 CLI: ``ibcc-repro lint [paths] [--json] [--rule ID] [--baseline FILE]
-[--update-baseline] [--changed-only REF] [--mypyc-report]`` (also
+[--update-baseline] [--changed-only REF]`` (also
 ``python -m repro lint``).
 """
 
@@ -94,7 +92,6 @@ from repro.lint.findings import (
 from repro.lint.registry import (
     RULES,
     all_rule_ids,
-    default_rule_ids,
     get_rules,
 )
 
@@ -119,7 +116,6 @@ __all__ = [
     "SEV_WARNING",
     "all_rule_ids",
     "build_callgraph",
-    "default_rule_ids",
     "get_rules",
     "iter_python_files",
     "run_lint",

@@ -8,7 +8,6 @@ Examples::
     ibcc-repro lint --rule DET001 --rule KEY001 src/repro
     ibcc-repro lint src/ --update-baseline  # accept current findings
     ibcc-repro lint src/ --changed-only origin/main   # PR-diff scope
-    ibcc-repro lint src/ --mypyc-report mypyc.json    # readiness pass
     ibcc-repro lint --list-rules
 
 A committed ``lint-baseline.json`` (see :mod:`repro.lint.baseline`) is
@@ -32,9 +31,6 @@ from repro.lint.baseline import DEFAULT_BASELINE, Baseline
 from repro.lint.engine import LintPathError, run_lint
 from repro.lint.registry import RULES, all_rule_ids
 
-#: Rule ids of the opt-in mypyc readiness pass (``--mypyc-report``).
-_MYPYC_RULES = ("MPC001", "MPC002")
-
 
 def build_lint_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -56,7 +52,7 @@ def build_lint_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="ID",
-        help="run only this rule (repeatable; default: all default rules)",
+        help="run only this rule (repeatable; default: every rule)",
     )
     parser.add_argument(
         "--json",
@@ -103,19 +99,6 @@ def build_lint_parser() -> argparse.ArgumentParser:
         help=(
             "report only findings in files changed since the merge-base "
             "with GITREF (whole-program analysis still covers all paths)"
-        ),
-    )
-    parser.add_argument(
-        "--mypyc-report",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="FILE",
-        help=(
-            "also run the opt-in mypyc compile-readiness pass "
-            f"({', '.join(_MYPYC_RULES)}) over the same paths and write "
-            "its JSON report to FILE (default: stdout); never affects "
-            "the exit code"
         ),
     )
     parser.add_argument(
@@ -178,8 +161,7 @@ def lint_main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         for rid in all_rule_ids():
             rule = RULES[rid]
-            tag = "" if rule.default else "  (opt-in)"
-            print(f"{rid}  [{rule.severity}]  {rule.summary}{tag}")
+            print(f"{rid}  [{rule.severity}]  {rule.summary}")
         return 0
     paths = list(args.paths) or _default_paths()
 
@@ -224,24 +206,5 @@ def lint_main(argv: Optional[Sequence[str]] = None) -> int:
         print()
     else:
         print(report.format())
-
-    if args.mypyc_report is not None:
-        try:
-            mpc = run_lint(paths, rules=list(_MYPYC_RULES))
-        except (LintPathError, KeyError) as exc:
-            print(f"lint: {exc.args[0]}", file=sys.stderr)
-            return 2
-        payload = mpc.to_json_dict()
-        if args.mypyc_report == "-":
-            json.dump(payload, sys.stdout, indent=2)
-            print()
-        else:
-            from repro.experiments.store import atomic_write_json
-
-            atomic_write_json(args.mypyc_report, payload)
-            print(
-                f"simlint: mypyc readiness report "
-                f"({len(mpc.findings)} finding(s)) -> {args.mypyc_report}"
-            )
 
     return report.exit_code(strict=args.strict)

@@ -60,9 +60,6 @@ class LintConfig:
     #: addition to refs auto-detected via ``Process(target=...)``
     #: (CON002 module-state discipline).
     worker_entry_names: FrozenSet[str] = frozenset({"worker_main"})
-    #: Packages the planned mypyc/Cython compiled build would cover —
-    #: the ``--mypyc-report`` readiness rules (MPC0xx) sweep these.
-    mypyc_packages: FrozenSet[str] = frozenset({"engine", "network"})
 
 
 DEFAULT_CONFIG = LintConfig()

@@ -26,9 +26,6 @@ class Rule:
     severity: str
     summary: str
     check: RuleFn
-    #: Opt-in rules (``default=False``) never run unless selected by
-    #: id — the ``--mypyc-report`` readiness pass lives behind this.
-    default: bool = True
 
 
 #: All registered rules, keyed by id (import the rule modules to fill).
@@ -36,7 +33,7 @@ RULES: Dict[str, Rule] = {}
 
 
 def rule(
-    rule_id: str, *, severity: str, summary: str, default: bool = True
+    rule_id: str, *, severity: str, summary: str
 ) -> Callable[[RuleFn], RuleFn]:
     """Class-less registration decorator for rule functions."""
     if severity not in SEVERITY_RANK:
@@ -46,8 +43,7 @@ def rule(
         if rule_id in RULES:
             raise ValueError(f"duplicate rule id {rule_id}")
         RULES[rule_id] = Rule(
-            id=rule_id, severity=severity, summary=summary, check=fn,
-            default=default,
+            id=rule_id, severity=severity, summary=summary, check=fn
         )
         return fn
 
@@ -59,15 +55,10 @@ def all_rule_ids() -> List[str]:
     return sorted(RULES)
 
 
-def default_rule_ids() -> List[str]:
-    """The rule ids that run when no selection is given."""
-    return [rid for rid in sorted(RULES) if RULES[rid].default]
-
-
 def get_rules(selection: Optional[Sequence[str]] = None) -> List[Rule]:
-    """Resolve a rule-id selection (None = every default rule)."""
+    """Resolve a rule-id selection (None = every rule)."""
     if selection is None:
-        return [RULES[rid] for rid in default_rule_ids()]
+        return [RULES[rid] for rid in all_rule_ids()]
     out = []
     for rid in selection:
         if rid not in RULES:

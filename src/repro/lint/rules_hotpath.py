@@ -1,4 +1,4 @@
-"""Hot-path performance rules (PERF001–PERF004) + mypyc readiness (MPC0xx).
+"""Hot-path performance rules (PERF001–PERF004).
 
 The ROADMAP's kernel-speed work needs to know which functions are
 actually on the per-event path. Rather than a hardcoded file list, the
@@ -14,14 +14,6 @@ The PERF rules are warnings: they flag costs, not bugs, and the
 baseline ratchet keeps the accepted ones from drowning new ones. They
 only examine hot functions in sim-critical packages — a hot helper in
 telemetry code is not the inner loop.
-
-The MPC rules are the ``repro lint --mypyc-report`` readiness pass for
-the planned compiled build of ``engine``/``network``: mypyc gives
-native classes fixed layouts, so dynamic attribute assignment
-(``setattr``), monkeypatch points (assigning attributes on classes or
-modules from outside), and ``__getattr__``-style dynamic hooks all
-block compilation. They are opt-in (``default=False``) info findings —
-a planning report, not a gate.
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.lint.callgraph import CallGraph, FuncNode, hot_set
-from repro.lint.findings import SEV_INFO, SEV_WARNING, Finding
+from repro.lint.findings import SEV_WARNING, Finding
 from repro.lint.project import Project, SourceFile
 from repro.lint.registry import rule
 
@@ -252,104 +244,3 @@ def perf004_hot_string_work(project: Project) -> Iterator[Finding]:
                         "null-hook tracer",
                     )
 
-
-# ---------------------------------------------------------------------------
-# mypyc readiness (--mypyc-report; opt-in)
-
-
-def _mypyc_files(project: Project) -> List[SourceFile]:
-    return [
-        f for f in project.files
-        if f.in_package(project.config.mypyc_packages)
-    ]
-
-
-@rule(
-    "MPC001",
-    severity=SEV_INFO,
-    summary=(
-        "dynamic attribute assignment / monkeypatch point in a "
-        "compile-target package (blocks the mypyc build)"
-    ),
-    default=False,
-)
-def mpc001_dynamic_attributes(project: Project) -> Iterator[Finding]:
-    """Attribute surgery mypyc cannot compile away.
-
-    Flags ``setattr``/``delattr``/``vars``/``__dict__`` use, and
-    assignments to attributes of anything other than ``self``/``cls``
-    at class or module scope — each one is a monkeypatch point that
-    forces the interpreter's dynamic attribute protocol.
-    """
-    for f in _mypyc_files(project):
-        for node in ast.walk(f.tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                if node.func.id in ("setattr", "delattr", "vars"):
-                    yield Finding(
-                        "MPC001", SEV_INFO, f.path, node.lineno,
-                        node.col_offset,
-                        f"{node.func.id}() forces the dynamic attribute "
-                        "protocol; a compiled class needs a fixed layout",
-                    )
-            elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
-                yield Finding(
-                    "MPC001", SEV_INFO, f.path, node.lineno, node.col_offset,
-                    "__dict__ access assumes dict-backed instances; "
-                    "compiled (and __slots__) classes have none",
-                )
-            elif isinstance(node, ast.Assign):
-                for tgt in node.targets:
-                    if not isinstance(tgt, ast.Attribute):
-                        continue
-                    root = tgt.value
-                    while isinstance(root, ast.Attribute):
-                        root = root.value
-                    if isinstance(root, ast.Name) and root.id in ("self", "cls"):
-                        continue
-                    if isinstance(root, ast.Name) and root.id[:1].isupper():
-                        yield Finding(
-                            "MPC001", SEV_INFO, f.path, node.lineno,
-                            node.col_offset,
-                            f"attribute assigned on class/module "
-                            f"{root.id!r} from outside its body — a "
-                            "monkeypatch point the compiled build "
-                            "cannot honor",
-                        )
-
-
-@rule(
-    "MPC002",
-    severity=SEV_INFO,
-    summary=(
-        "compiled-class readiness: un-slotted class or dynamic dunder "
-        "hook (__getattr__/__setattr__) in a compile-target package"
-    ),
-    default=False,
-)
-def mpc002_class_readiness(project: Project) -> Iterator[Finding]:
-    """Classes the compiled build would change semantics for."""
-    graph = project.callgraph()
-    assert isinstance(graph, CallGraph)
-    mypyc_paths = {f.path for f in _mypyc_files(project)}
-    for cqual in sorted(graph.classes):
-        cls = graph.classes[cqual]
-        if cls.path not in mypyc_paths:
-            continue
-        if not cls.has_slots:
-            yield Finding(
-                "MPC002", SEV_INFO, cls.path, cls.node.lineno,
-                cls.node.col_offset,
-                f"class {cls.name} has no __slots__ (or inherits a "
-                "slotless ancestor): instances grow arbitrary "
-                "attributes, which a compiled fixed layout forbids",
-            )
-        for item in cls.node.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if item.name in ("__getattr__", "__setattr__", "__getattribute__"):
-                    yield Finding(
-                        "MPC002", SEV_INFO, cls.path, item.lineno,
-                        item.col_offset,
-                        f"{cls.name}.{item.name} intercepts attribute "
-                        "access dynamically; compiled classes resolve "
-                        "attributes statically",
-                    )

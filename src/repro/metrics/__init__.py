@@ -14,9 +14,12 @@ from repro.metrics.analysis import (
     tmax_gbps,
     jain_fairness,
 )
-from repro.metrics.congestion_tree import congested_ports
 from repro.metrics.timeseries import TimeSeries
-from repro.metrics.tree_tracker import CongestionTreeTracker, TreeDynamics
+from repro.metrics.tree_tracker import (
+    CongestionTreeTracker,
+    TreeDynamics,
+    congested_ports,
+)
 from repro.metrics.ascii_chart import sparkline, line_chart
 from repro.metrics.latency import LatencyTracker
 

@@ -7,14 +7,16 @@ injection-to-delivery times (using ``Packet.t_inject``, stamped by the
 source HCA) and reports percentiles per node group — handy for showing
 *victim* latency collapsing when CC prunes the tree.
 
-Implementation note: samples are kept in plain lists and reduced with
-numpy on demand (imported there, so recording needs no numpy); at the
+Implementation note: samples are kept in plain lists and reduced on
+demand in pure Python — percentiles by numpy's default ``linear``
+interpolation over one sort, the mean by :func:`math.fsum`; at the
 bench scales used here (1e5..1e6 packets) this is cheaper than
 maintaining online quantile sketches and exact rather than approximate.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.network.packet import Packet
@@ -52,35 +54,29 @@ class LatencyTracker:
             self.inner.record_tx(node, pkt, now)
 
     # -- reductions -----------------------------------------------------
+    def _merged(self, nodes: Optional[Iterable[int]]) -> List[float]:
+        if nodes is None:
+            pools = self.samples_ns.values()
+        else:
+            pools = (self.samples_ns.get(n, []) for n in nodes)
+        merged = [v for pool in pools for v in pool]
+        if not merged:
+            raise ValueError("no latency samples recorded")
+        return merged
+
     def percentiles(
         self,
         nodes: Optional[Iterable[int]] = None,
         qs: Sequence[float] = (50.0, 99.0),
     ) -> Dict[float, float]:
         """Latency percentiles (ns) over the given destination nodes."""
-        if nodes is None:
-            pools = self.samples_ns.values()
-        else:
-            pools = (self.samples_ns.get(n, []) for n in nodes)
-        merged: List[float] = []
-        for pool in pools:
-            merged.extend(pool)
-        if not merged:
-            raise ValueError("no latency samples recorded")
-        import numpy as np
-        arr = np.asarray(merged)
-        return {q: float(np.percentile(arr, q)) for q in qs}
+        ordered = sorted(self._merged(nodes))
+        return {q: _percentile(ordered, q) for q in qs}
 
     def mean_ns(self, nodes: Optional[Iterable[int]] = None) -> float:
         """Mean latency (ns) over the given destination nodes."""
-        out = self.percentiles(nodes, qs=(50.0,))  # validate non-empty
-        if nodes is None:
-            pools = self.samples_ns.values()
-        else:
-            pools = (self.samples_ns.get(n, []) for n in nodes)
-        merged = [v for pool in pools for v in pool]
-        import numpy as np
-        return float(np.mean(merged))
+        merged = self._merged(nodes)
+        return math.fsum(merged) / len(merged)
 
     def count(self) -> int:
         """Total latency samples recorded."""
@@ -91,3 +87,17 @@ class LatencyTracker:
         # Delegate everything else (rx_bytes, rx_rate_gbps, ...) to the
         # wrapped collector so drivers work unchanged.
         return getattr(self.inner, name)
+
+
+def _percentile(ordered: List[float], q: float) -> float:
+    """``numpy.percentile(ordered, q)`` of an ascending list (``linear``)."""
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile {q} is outside [0, 100]")
+    index = (len(ordered) - 1) * (q / 100)
+    lo = math.floor(index)
+    if lo >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[lo], ordered[lo + 1]
+    t = index - lo
+    # numpy's _lerp: interpolate from whichever end is nearer.
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t

@@ -4,8 +4,10 @@ Section III of the paper classifies congestion trees as *silent*
 (stable root, stable branches), *windy* (stable root, branches moving
 as the contributor set changes) and *moving* (the root itself
 relocates). This module observes a live network at a fixed cadence and
-computes, per sample, the congested roots and their first-level
-branches; afterwards it scores the observed dynamics on two axes:
+computes, per sample, the congested roots (:func:`congested_ports`: a
+switch output port whose queued bytes exceed a fraction of one input
+buffer) and their first-level branches; afterwards it scores the
+observed dynamics on two axes:
 
 * **root churn** — one minus the containment between the persistent
   dominant-root populations (ports carrying >= half the deepest
@@ -28,10 +30,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
-from repro.metrics.congestion_tree import congested_ports
-
 
 PortKey = Tuple[int, int]
+
+
+def congested_ports(
+    network, *, vl: int = 0, fraction: float = 0.25
+) -> List[PortKey]:
+    """(switch_id, out_port) pairs whose VoQ backlog exceeds ``fraction``
+    of one input buffer's capacity: the instantaneous roots."""
+    result = []
+    threshold = network.config.switch_ibuf_capacity * fraction
+    for sw in network.switches:
+        for out in range(sw.n_ports):
+            if sw.arbiters[out].queued_bytes[vl] > threshold:
+                result.append((sw.node_id, out))
+    return result
 
 
 @dataclass

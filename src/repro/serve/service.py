@@ -548,7 +548,15 @@ class CampaignService:
         campaign = self.get(campaign_id)
         if campaign.cancelled:
             return campaign  # idempotent
-        campaign.cancelled = True
+        # Journal first: a refused append must leave nothing cancelled.
+        campaign.cancelled = True  # the journaled spec reads the flag
+        try:
+            self._journal(
+                campaign, [config_to_dict(c.config) for c in campaign.cells]
+            )
+        except BaseException:
+            campaign.cancelled = False
+            raise
         for cell in campaign.cells:
             if cell.status in TERMINAL_STATES:
                 continue
@@ -564,9 +572,6 @@ class CampaignService:
             self._settle(
                 campaign, cell, CELL_CANCELLED, error="cancelled by client"
             )
-        self._journal(
-            campaign, [config_to_dict(c.config) for c in campaign.cells]
-        )
         self._checkpoint(campaign)
         self._publish(campaign, "campaign", campaign.summary())
         return campaign

@@ -10,15 +10,12 @@ instance.
 Routing is deterministic destination-mod-k ("d-mod-k") up-routing with
 single-path down-routing, expressed as per-switch linear forwarding
 tables — the routing the paper uses ("routing using linear forwarding
-tables"). :mod:`repro.topology.generic` builds LFTs for arbitrary
-networkx graphs for experimentation beyond fat-trees; networkx itself
-is loaded by the first :func:`topology_from_graph` call, not by
-importing this package.
+tables"). :mod:`repro.topology.torus` adds tori and meshes with
+dimension-order routing for experiments beyond fat-trees.
 """
 
 from repro.topology.spec import Topology, SwitchSpec, HostLink, SwitchLink
 from repro.topology.fattree import folded_clos, three_stage_fat_tree, sun_dcs_648
-from repro.topology.generic import topology_from_graph
 from repro.topology.torus import torus, mesh
 from repro.topology.analysis import (
     path_ports,
@@ -33,7 +30,6 @@ __all__ = [
     "folded_clos",
     "three_stage_fat_tree",
     "sun_dcs_648",
-    "topology_from_graph",
     "torus",
     "mesh",
     "path_ports",

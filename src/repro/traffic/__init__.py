@@ -17,7 +17,6 @@ section V-C.
 
 from repro.traffic.budgets import TokenBudget
 from repro.traffic.generators import BNodeSource, FixedRateSource
-from repro.traffic.bursty import BurstySource
 from repro.traffic.hotspots import HotspotSchedule
 from repro.traffic.mixes import NodeMix, assign_roles
 
@@ -25,7 +24,6 @@ __all__ = [
     "TokenBudget",
     "BNodeSource",
     "FixedRateSource",
-    "BurstySource",
     "HotspotSchedule",
     "NodeMix",
     "assign_roles",

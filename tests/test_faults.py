@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -19,7 +20,7 @@ from repro.faults import (
     faults_to_dict,
 )
 from repro.network.deadlock import DeadlockWatchdog
-from repro.topology import three_stage_fat_tree
+from repro.topology import sun_dcs_648, three_stage_fat_tree
 from repro.trace import TraceSpec
 from repro.trace.auditor import TraceAuditor
 
@@ -140,6 +141,26 @@ class TestChaosSchedule:
             assert 0 <= s.at_ns <= 8 * MS
             ends = s.ends_at_ns
             assert ends is None or ends <= 8 * MS
+
+    def test_schedules_are_pinned(self):
+        # Computed when Poisson counts were still drawn by numpy's
+        # Generator: the pure-Python port must expand every spec alike.
+        digest, n_specs = hashlib.sha256(), 0
+        for topo in (three_stage_fat_tree(4), three_stage_fat_tree(8),
+                     sun_dcs_648()):
+            for seed in range(50):
+                spec = ChaosSpec(seed, link_flap=0.5, degrade=0.3,
+                                 cnp_drop=0.8, timer_freeze=0.2,
+                                 switch_pause=0.1)
+                for sim_time_ns in (1 * MS, 4 * MS, 25 * MS):
+                    sched = chaos_schedule(spec, topology=topo,
+                                           sim_time_ns=sim_time_ns)
+                    digest.update(repr(sched.specs).encode())
+                    n_specs += len(sched.specs)
+        assert n_specs == 8799
+        assert digest.hexdigest() == (
+            "b1d0f97eb07662ebe0a78a9a48a3c762054b3844d7543390322fa6c50336e00a"
+        )
 
 
 class TestLinkFlap:

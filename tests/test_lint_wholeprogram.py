@@ -12,7 +12,6 @@ The acceptance properties from the issue are demonstrated directly:
   test) while new findings still fire.
 """
 
-import json
 import shutil
 import textwrap
 from pathlib import Path
@@ -23,8 +22,6 @@ from repro.experiments.cli import main as cli_main
 from repro.lint import (
     Baseline,
     LintPathError,
-    all_rule_ids,
-    default_rule_ids,
     iter_python_files,
     run_lint,
 )
@@ -711,7 +708,7 @@ def test_cli_exits_2_on_non_py_explicit_file(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# CLI: baseline auto-load / update, mypyc report, opt-in rules
+# CLI: baseline auto-load / update
 
 
 def test_cli_update_baseline_then_ratchet(tmp_path, monkeypatch, capsys):
@@ -726,41 +723,6 @@ def test_cli_update_baseline_then_ratchet(tmp_path, monkeypatch, capsys):
     assert cli_main(["lint", "tree"]) == 0  # auto-loaded
     assert "1 baselined" in capsys.readouterr().out
     assert cli_main(["lint", "tree", "--no-baseline"]) == 1
-
-
-def test_mypyc_rules_are_opt_in(tmp_path):
-    assert "MPC001" in all_rule_ids()
-    assert "MPC001" not in default_rule_ids()
-    assert "MPC002" not in default_rule_ids()
-    report = lint_tree(tmp_path, {
-        "engine/dyn.py": """\
-            class Box:
-                def __init__(self):
-                    self.v = 1
-
-            def patch(box):
-                setattr(box, "v", 2)
-            """,
-    }, rules=["MPC001", "MPC002"])
-    assert sorted(rule_ids(report)) == ["MPC001", "MPC002"]
-    assert report.exit_code(strict=True) == 0  # info only
-
-
-def test_cli_mypyc_report_artifact(tmp_path, capsys):
-    write_tree(tmp_path, {
-        "tree/engine/dyn.py": (
-            "class Box:\n    def __init__(self):\n        self.v = 1\n"
-        ),
-    })
-    out = tmp_path / "mypyc.json"
-    code = cli_main([
-        "lint", str(tmp_path / "tree"), "--no-baseline",
-        "--mypyc-report", str(out),
-    ])
-    assert code == 0
-    data = json.loads(out.read_text())
-    assert data["rules_run"] == ["MPC001", "MPC002"]
-    assert any(f["rule"] == "MPC002" for f in data["findings"])
 
 
 def test_shipped_tree_gate_with_committed_baseline():

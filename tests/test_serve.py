@@ -32,7 +32,7 @@ from repro.serve.scheduler import (
     ShedLoad,
 )
 from repro.serve.service import CampaignService
-from repro.serve.singleflight import FLIGHT_CANCELLED, SingleFlight
+from repro.serve.singleflight import FLIGHT_CANCELLED, FLIGHT_QUEUED, SingleFlight
 
 from tests.conftest import MICRO_SCALE
 
@@ -350,6 +350,30 @@ class TestAdmissionJournal:
         fresh = journal_service()
         assert fresh.recover()["campaigns"] == 1
         assert list(fresh.campaigns) == [kept]
+
+    def test_a_failed_cancel_append_cancels_nothing(
+        self, journal_service, monkeypatch
+    ):
+        def enospc(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        service = journal_service()
+        campaign = service.submit([micro_cell(seed=1)])
+        (cell,) = campaign.cells
+        before = _journal(service)
+        monkeypatch.setattr(os, "fdatasync", enospc)
+        with pytest.raises(OSError):
+            service.cancel(campaign.id)
+        monkeypatch.undo()
+        assert not campaign.cancelled
+        assert cell.status == "queued"
+        assert service.flights.get(cell.key).state == FLIGHT_QUEUED
+        assert len(service.scheduler) == 1
+        assert _journal(service) == before
+        fresh = journal_service()
+        assert fresh.recover()["campaigns"] == 1
+        assert not fresh.get(campaign.id).cancelled
+        assert [c.status for c in fresh.get(campaign.id).cells] == ["queued"]
 
     def test_a_cancels_later_line_wins_on_recovery(self, journal_service):
         first = journal_service()

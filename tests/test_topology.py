@@ -1,6 +1,5 @@
 """Tests for topology blueprints, fat-tree builders and routing."""
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +14,6 @@ from repro.topology import (
     path_ports,
     sun_dcs_648,
     three_stage_fat_tree,
-    topology_from_graph,
 )
 
 from tests.conftest import route_all_pairs
@@ -177,49 +175,3 @@ class TestValidation:
         with pytest.raises(ValueError, match="one LFT"):
             topo.validate()
 
-
-class TestGraphTopology:
-    def _line_graph(self):
-        # h0 - s0 - s1 - h1
-        g = nx.Graph()
-        g.add_edge(("h", 0), ("s", 0))
-        g.add_edge(("s", 0), ("s", 1))
-        g.add_edge(("s", 1), ("h", 1))
-        return g
-
-    def test_conversion(self):
-        topo = topology_from_graph(self._line_graph())
-        assert topo.n_hosts == 2
-        assert topo.n_switches == 2
-        route_all_pairs(topo)
-
-    def test_routing_through_line(self):
-        topo = topology_from_graph(self._line_graph())
-        path = host_path(topo, 0, 1)
-        assert [n[0] for n in path] == ["host", "switch", "switch", "host"]
-
-    def test_ring_topology(self):
-        g = nx.Graph()
-        for i in range(4):
-            g.add_edge(("h", i), ("s", i))
-            g.add_edge(("s", i), ("s", (i + 1) % 4))
-        topo = topology_from_graph(g, name="ring4")
-        route_all_pairs(topo)
-        assert topo.name == "ring4"
-
-    def test_host_with_two_links_rejected(self):
-        g = self._line_graph()
-        g.add_edge(("h", 0), ("s", 1))
-        with pytest.raises(ValueError, match="exactly one switch"):
-            topology_from_graph(g)
-
-    def test_noncontiguous_host_ids_rejected(self):
-        g = nx.Graph()
-        g.add_edge(("h", 0), ("s", 0))
-        g.add_edge(("h", 2), ("s", 0))
-        with pytest.raises(ValueError, match="contiguous"):
-            topology_from_graph(g)
-
-    def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
-            topology_from_graph(nx.Graph())

@@ -1,8 +1,12 @@
 """Tests for the extension substrates: weighted VL arbitration, latency
-tracking, bursty traffic and deadlock detection."""
+tracking and deadlock detection."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.engine import RngRegistry, Simulator
 from repro.metrics import Collector
@@ -14,7 +18,6 @@ from repro.network.vlarb import VlArbitrationTable, install_vl_arbitration
 from repro.network.packet import Packet
 from repro.topology import three_stage_fat_tree, torus
 from repro.traffic import FixedRateSource
-from repro.traffic.bursty import BurstySource
 
 from tests.conftest import attach_fixed_flow, attach_hotspot_contributors, build_network
 
@@ -154,57 +157,18 @@ class TestLatencyTracker:
         with pytest.raises(ValueError):
             tracker.percentiles()
 
-
-class TestBurstySource:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BurstySource(0, 8, 0.0, np.random.default_rng(0), burst_ns=0)
-
-    def test_long_run_load_is_duty_cycled(self):
-        rng = np.random.default_rng(3)
-        gen = BurstySource(
-            0, 8, 0.0, rng, burst_ns=50_000.0, idle_ns=150_000.0,
-            inj_rate_gbps=13.5,
-        )
-        sent = 0
-        now = 0.0
-        horizon = 20 * MS
-        while now < horizon:
-            pkt, t = gen.next_packet(now)
-            if pkt is not None:
-                sent += pkt.payload
-                continue
-            if t is None:
-                break
-            now = t
-        rate = sent * 8 / horizon
-        # Duty cycle 25% of 13.5 -> ~3.4 Gbit/s.
-        assert rate == pytest.approx(0.25 * 13.5, rel=0.3)
-
-    def test_idle_phase_emits_nothing(self):
-        rng = np.random.default_rng(3)
-        gen = BurstySource(0, 8, 0.0, rng, burst_ns=1000.0, idle_ns=1e9)
-        # Force the generator into a known idle phase.
-        gen._in_burst = False
-        gen._phase_end = 5000.0
-        pkt, t = gen.next_packet(1000.0)
-        assert pkt is None and t == 5000.0
-        # At the phase boundary a new burst starts and packets flow.
-        pkt, t = gen.next_packet(5000.0)
-        assert pkt is not None
-
-    def test_runs_in_network(self):
-        sim = Simulator()
-        net, col, _ = build_network(sim, radix=4)
-        rng = RngRegistry(1)
-        gen = BurstySource(
-            0, 8, 0.0, rng.stream("g"), burst_ns=100_000.0, idle_ns=100_000.0
-        )
-        gen.bind(net.hcas[0])
-        net.hcas[0].attach_generator(gen)
-        net.run(until=3 * MS)
-        assert sum(col.rx_bytes) > 0
-        assert gen.bursts > 1
+    @given(
+        samples=st.lists(st.floats(0.0, 1e9), min_size=1, max_size=60),
+        qs=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4),
+    )
+    def test_reductions_match_numpy(self, samples, qs):
+        tracker = LatencyTracker(None)
+        tracker.samples_ns = {0: samples[::2], 1: samples[1::2]}
+        assert tracker.percentiles(qs=qs) == {
+            q: float(np.percentile(samples, q)) for q in qs
+        }
+        assert math.isclose(tracker.mean_ns(), float(np.mean(samples)),
+                            rel_tol=1e-12, abs_tol=1e-300)
 
 
 class TestDeadlock:
