@@ -14,6 +14,8 @@ CC-on cells only, so the CC-off cells of every mechanism share cache
 entries; the ``faults`` artifact brings its own fault plans and the
 ``arena`` compares mechanisms on a clean, raw fabric, so they refuse the
 overrides that would change what they measure (:attr:`Artifact.accepts`).
+The figure options (``--p``, ``--p-step``, ``--chart``) are refused the
+same way by an artifact that would not read them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.experiments.fault_scenarios import FaultScenarioTable, fault_cells
 from repro.experiments.moving import MovingFigure, moving_cells
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.table2 import Table2Result, table2_cells
-from repro.experiments.windy import DEFAULT_P_VALUES, WindyFigure, windy_cells
+from repro.experiments.windy import WindyFigure, windy_cells
 from repro.faults.spec import FaultPlan
 from repro.transport import TransportConfig
 
@@ -38,8 +40,8 @@ from repro.transport import TransportConfig
 class ArtifactOptions:
     """What one run of an artifact is asked for beyond scale and seed."""
 
-    p_values: Tuple[float, ...] = DEFAULT_P_VALUES  # windy: the p sweep
-    p: float = 0.6  # fig10: the B nodes' hotspot share
+    p_values: Optional[Tuple[float, ...]] = None  # fig5-8: the p sweep
+    p: Optional[float] = None  # fig10: the B nodes' hotspot share
     quick: bool = False  # arena: a seconds-scale smoke matrix
     cc_config: Optional[CCConfig] = None  # CC-on cells (arena: the one mechanism)
     faults: Optional[FaultPlan] = None  # every cell
@@ -54,7 +56,12 @@ RESTRICTED = {
     "transport": "--transport",
     "quick": "--quick",
     "out_dir": "--out-dir",
+    "chart": "--chart",
+    "p": "--p",
+    "p_values": "--p-step",
 }
+
+_OVERRIDES = frozenset({"faults", "transport"})
 
 
 @dataclass(frozen=True)
@@ -65,18 +72,20 @@ class Artifact:
     cells: Callable[[ScaleProfile, int, ArtifactOptions], List[ExperimentConfig]]
     reduce: Callable[[Sequence[ExperimentResult]], Any]
     #: Which :data:`RESTRICTED` options the artifact takes.
-    accepts: FrozenSet[str] = frozenset({"faults", "transport"})
+    accepts: FrozenSet[str] = _OVERRIDES
 
 
 ARTIFACTS: Tuple[Artifact, ...] = (
     Artifact("table2", table2_cells, Table2Result.from_results),
-    *(Artifact(f"fig{n}", partial(windy_cells, x), WindyFigure.from_results)
+    *(Artifact(f"fig{n}", partial(windy_cells, x), WindyFigure.from_results,
+               accepts=_OVERRIDES | {"p_values", "chart"})
       for n, x in ((5, 0.25), (6, 0.50), (7, 0.75), (8, 1.00))),
     Artifact("fig9a", partial(moving_cells, c_fraction_of_rest=0.8),
-             MovingFigure.from_results),
+             MovingFigure.from_results, accepts=_OVERRIDES | {"chart"}),
     Artifact("fig9b", partial(moving_cells, c_fraction_of_rest=0.4),
-             MovingFigure.from_results),
-    Artifact("fig10", partial(moving_cells, windy=True), MovingFigure.from_results),
+             MovingFigure.from_results, accepts=_OVERRIDES | {"chart"}),
+    Artifact("fig10", partial(moving_cells, windy=True), MovingFigure.from_results,
+             accepts=_OVERRIDES | {"p", "chart"}),
     Artifact("faults", fault_cells, FaultScenarioTable.from_results,
              accepts=frozenset({"transport"})),
     Artifact("arena", arena_cells, ArenaResult.from_results,
@@ -104,7 +113,8 @@ def run_artifact(
 
     artifact = {a.name: a for a in ARTIFACTS}[name]
     for option, flag in RESTRICTED.items():
-        if getattr(opts, option) not in (None, False) and option not in artifact.accepts:
+        value = getattr(opts, option)
+        if value is not None and value is not False and option not in artifact.accepts:
             raise ConfigError(f"{flag} does not apply to the {name} artifact")
     if isinstance(scale, str):
         scale = SCALES[scale]

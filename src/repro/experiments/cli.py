@@ -134,19 +134,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--p",
         type=float,
-        default=60,
-        help="fig10 only: hotspot share in percent (30/60/90 in the paper)",
+        default=None,
+        help=(
+            "fig10 only: hotspot share in percent (30/60/90 in the paper; "
+            "default 60)"
+        ),
     )
     parser.add_argument(
         "--p-step",
         type=float,
-        default=10,
-        help="windy figures: p sweep step in percent",
+        default=None,
+        help="fig5-fig8 only: p sweep step in percent (default 10)",
     )
     parser.add_argument(
         "--chart",
         action="store_true",
-        help="render the figure panels as ASCII charts",
+        help="fig5-fig10 only: render the figure panels as ASCII charts",
     )
     parser.add_argument(
         "--jobs",
@@ -447,8 +450,8 @@ def main(argv=None) -> int:
                 print(f"{flag} {text!r}: {exc}", file=sys.stderr)
                 return 2
     opts = ArtifactOptions(
-        p_values=p_sweep(args.p_step / 100.0),
-        p=args.p / 100.0,
+        p_values=None if args.p_step is None else p_sweep(args.p_step / 100.0),
+        p=None if args.p is None else args.p / 100.0,
         quick=args.quick,
         cc_config=parsed.get("--cc"),
         faults=parsed.get("--faults", parsed.get("--chaos")),

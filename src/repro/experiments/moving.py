@@ -14,6 +14,9 @@ from typing import Dict, List, Sequence
 from repro.experiments.config import ExperimentConfig, ScaleProfile
 from repro.experiments.runner import ExperimentResult
 
+#: Figure 10's hotspot share when ``--p`` is not given.
+DEFAULT_P = 0.6
+
 
 @dataclass
 class MovingPoint:
@@ -95,9 +98,11 @@ def moving_cells(
 
     * figure 9(a): ``c_fraction_of_rest=0.8`` (80 % C / 20 % V);
     * figure 9(b): ``c_fraction_of_rest=0.4`` (40 % C / 60 % V);
-    * figure 10: ``windy=True`` — 100 % B nodes at ``opts.p``.
+    * figure 10: ``windy=True`` — 100 % B nodes at ``opts.p`` (default
+      :data:`DEFAULT_P`).
     """
-    shape = {"b_fraction": 1.0, "p": opts.p} if windy else {}
+    p = DEFAULT_P if opts.p is None else opts.p
+    shape = {"b_fraction": 1.0, "p": p} if windy else {}
     cells = []
     for lt in scale.moving_lifetimes_ns:
         cfg = ExperimentConfig(

@@ -109,11 +109,13 @@ class WindyFigure:
 def windy_cells(
     b_fraction: float, scale: ScaleProfile, seed: int, opts
 ) -> List[ExperimentConfig]:
-    """CC off then on at each of ``opts.p_values``: figures 5 (x=.25) to 8 (x=1)."""
-    if not opts.p_values:
+    """CC off then on at each of ``opts.p_values`` (default
+    :data:`DEFAULT_P_VALUES`): figures 5 (x=.25) to 8 (x=1)."""
+    p_values = DEFAULT_P_VALUES if opts.p_values is None else opts.p_values
+    if not p_values:
         raise ConfigError("the p sweep is empty (--p-step must be > 0)")
     cells = []
-    for p in opts.p_values:
+    for p in p_values:
         cfg = ExperimentConfig(
             scale=scale,
             b_fraction=b_fraction,

@@ -8,8 +8,9 @@ silently breaks every digest downstream, and the runtime campaigns
 only catch it an hour later. simlint moves that detection to a static
 pass that fails in seconds.
 
-Per-file rules (see :mod:`repro.lint.rules_determinism` /
-:mod:`repro.lint.rules_crossref` / :mod:`repro.lint.rules_robustness`):
+Per-file rules (see :mod:`repro.lint.rules_taint` /
+:mod:`repro.lint.rules_determinism` / :mod:`repro.lint.rules_crossref` /
+:mod:`repro.lint.rules_robustness`):
 
 ========  ==============================================================
 DET001    no raw ``random.*`` / ``numpy.random`` stateful calls in
@@ -31,13 +32,14 @@ ERR001    no bare ``except:`` and no broad ``except Exception`` /
           ``BaseException`` whose body only passes — errors surface as
           data (manifest ``error_kind`` records), never silently
           swallowed
+ERR002    no dropped ``asyncio.create_task`` handle in async packages
 IMP001    unused module-level import (dead-code hygiene; never fails
           the build)
 ========  ==============================================================
 
 Whole-program rules, built on the project call graph
 (:mod:`repro.lint.callgraph`; see :mod:`repro.lint.rules_taint` /
-:mod:`repro.lint.rules_hotpath` / :mod:`repro.lint.rules_concurrency`):
+:mod:`repro.lint.rules_concurrency`):
 
 ========  ==============================================================
 DET101    interprocedural DET001 — sim-critical call into a helper
@@ -46,9 +48,6 @@ DET102    interprocedural DET002 — sim-critical call into a helper
           whose call closure reads the wall clock
 DET103    ``id()`` / ``os.environ`` reads / unordered-set iteration on
           the event path, directly or through helper chains
-PERF0xx   hot-path costs (allocation, ``**kwargs``, ``try/except``,
-          un-slotted instantiation, f-strings/logging) in functions
-          reachable from ``Simulator.run``/``schedule`` — warnings
 CON001    blocking calls (``time.sleep``, file I/O, subprocess) inside
           ``async def``, directly or through sync helpers
 CON002    module-level mutable state mutated by code reachable from a
@@ -61,21 +60,19 @@ Suppress a finding with a line pragma ``# simlint: disable=DET001`` on
 the flagged line, ``# simlint: disable-next-line=DET001`` on the line
 above it, or a file pragma ``# simlint: disable-file=DET001`` on its
 own comment line. Every suppression should carry a justifying comment.
-Accepted legacy findings live in a fingerprint-keyed baseline file
-(:mod:`repro.lint.baseline`) so only *new* findings fail the build.
+A pragma is the one way to silence a finding: there is no baseline of
+accepted findings, so the shipped tree lints clean outright.
 
 Programmatic use::
 
     from repro.lint import run_lint
-    report = run_lint(["src"], baseline="lint-baseline.json")
+    report = run_lint(["src"])
     assert not report.errors, report.format()
 
-CLI: ``ibcc-repro lint [paths] [--json] [--rule ID] [--baseline FILE]
-[--update-baseline] [--changed-only REF]`` (also
-``python -m repro lint``).
+CLI: ``ibcc-repro lint [paths] [--json] [--json-out FILE] [--rule ID]
+[--strict] [--list-rules]`` (also ``python -m repro lint``).
 """
 
-from repro.lint.baseline import DEFAULT_BASELINE, Baseline
 from repro.lint.callgraph import CallGraph, build_callgraph
 from repro.lint.engine import (
     LintPathError,
@@ -99,14 +96,11 @@ from repro.lint.registry import (
 from repro.lint import rules_concurrency as _rules_concurrency  # noqa: F401
 from repro.lint import rules_crossref as _rules_crossref  # noqa: F401
 from repro.lint import rules_determinism as _rules_determinism  # noqa: F401
-from repro.lint import rules_hotpath as _rules_hotpath  # noqa: F401
 from repro.lint import rules_robustness as _rules_robustness  # noqa: F401
 from repro.lint import rules_taint as _rules_taint  # noqa: F401
 
 __all__ = [
-    "Baseline",
     "CallGraph",
-    "DEFAULT_BASELINE",
     "Finding",
     "LintPathError",
     "LintReport",

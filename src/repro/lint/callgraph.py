@@ -1,15 +1,15 @@
-"""Whole-program symbol table + call graph for simlint v2.
+"""Whole-program symbol table + call graph for simlint.
 
 The per-file rules (DET001–DET004) stop at module boundaries: a
 ``time.time()`` buried in a shared helper escapes them the moment the
 helper lives outside a sim-critical package. The interprocedural rule
-families (DET1xx taint, PERF0xx hot path, CON0xx concurrency) need to
-see *through* calls, so this module builds, once per lint run:
+families (DET1xx taint, CON0xx concurrency) need to see *through*
+calls, so this module builds, once per lint run:
 
 * a **symbol table** — every module, top-level function, class (with
-  methods, resolved base classes, ``__slots__``/``@dataclass`` flags
-  and inferred instance-attribute types) and module-level alias in the
-  linted tree, addressable by dotted qualname;
+  methods, resolved base classes and inferred instance-attribute
+  types) and module-level alias in the linted tree, addressable by
+  dotted qualname;
 * a **call graph** — for every function, the resolved call sites in
   its body, each tagged with how the callee is reached:
 
@@ -20,8 +20,8 @@ see *through* calls, so this module builds, once per lint run:
   ``ref``     a function reference passed as an argument — it may be
               invoked by the receiver
   ``scheduled`` a reference passed to a ``schedule``/``schedule_at``
-              call: the event loop *will* invoke it, so it joins the
-              hot set and carries determinism taint
+              call: the event loop *will* invoke it, so it carries
+              determinism taint
   ``thread``  a reference passed as ``target=`` to a ``Thread`` (or an
               ``run_in_executor``/``to_thread`` argument): it runs off
               the event loop
@@ -46,9 +46,9 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from repro.lint.project import Project, SourceFile, is_dataclass
+from repro.lint.project import Project, SourceFile
 
 #: Call-site kinds (see module docstring).
 KIND_CALL = "call"
@@ -108,8 +108,6 @@ class ClassNode:
     node: ast.ClassDef
     #: Resolved project base-class qualnames (unresolvable bases dropped).
     bases: List[str] = field(default_factory=list)
-    has_slots: bool = False
-    dataclass: bool = False
     #: ``self.attr`` → inferred project class qualname.
     attr_types: Dict[str, str] = field(default_factory=dict)
     #: method name → function qualname.
@@ -158,15 +156,10 @@ class CallGraph:
         self.functions: Dict[str, FuncNode] = {}
         self.classes: Dict[str, ClassNode] = {}
         self.calls: Dict[str, List[CallSite]] = {}
-        #: Callees of ``scheduled`` references anywhere in the tree —
-        #: the event loop invokes these, so they seed the hot set.
-        self.scheduled: Set[str] = set()
         #: Thread / worker-process entry points and loop-posted callbacks.
         self.thread_entries: Set[str] = set()
         self.process_entries: Set[str] = set()
         self.loop_posted: Set[str] = set()
-        #: ``caller → [(class qualname, line, col)]`` instantiations.
-        self.instantiations: Dict[str, List[Tuple[str, int, int]]] = {}
 
     # -- symbol resolution ---------------------------------------------
 
@@ -253,11 +246,6 @@ class CallGraph:
             stack.extend(cls.bases)
         return None
 
-    def class_has_slots(self, class_qual: str) -> bool:
-        """Whether the class (or every project ancestor) declares slots."""
-        cls = self.classes.get(class_qual)
-        return cls is not None and cls.has_slots
-
     # -- graph queries --------------------------------------------------
 
     def reachable(
@@ -310,20 +298,6 @@ class CallGraph:
 
 # ---------------------------------------------------------------------------
 # construction
-
-
-def _slots_declared(node: ast.ClassDef) -> bool:
-    for stmt in node.body:
-        if isinstance(stmt, ast.Assign):
-            if any(
-                isinstance(t, ast.Name) and t.id == "__slots__"
-                for t in stmt.targets
-            ):
-                return True
-        elif isinstance(stmt, ast.AnnAssign):
-            if isinstance(stmt.target, ast.Name) and stmt.target.id == "__slots__":
-                return True
-    return False
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -411,11 +385,10 @@ class _FunctionScanner(ast.NodeVisitor):
         self.func = func
         self.local_types = local_types
         self.sites: List[CallSite] = []
-        self.instantiations: List[Tuple[str, int, int]] = []
 
     # Nested defs/lambdas are attributed to the enclosing function:
     # their bodies execute (if at all) on behalf of this node, which is
-    # the sound over-approximation for taint and hot-set purposes.
+    # the sound over-approximation for taint purposes.
 
     def _resolve_expr(self, node: ast.AST) -> Optional[str]:
         """Resolve an expression to a project function/class qualname."""
@@ -521,9 +494,6 @@ class _FunctionScanner(ast.NodeVisitor):
         )
         if target is not None:
             if target in graph.classes:
-                self.instantiations.append((
-                    target, node.lineno, node.col_offset,
-                ))
                 init = graph.lookup_method(target, "__init__")
                 if init is not None:
                     self._add(init, node, KIND_CALL)
@@ -632,8 +602,6 @@ def build_callgraph(project: Project) -> CallGraph:
                 cnode = ClassNode(
                     qualname=cqual, module=module, name=node.name,
                     path=f.path, node=node,
-                    has_slots=_slots_declared(node),
-                    dataclass=is_dataclass(node),
                 )
                 graph.classes[cqual] = cnode
                 for item in node.body:
@@ -669,21 +637,6 @@ def build_callgraph(project: Project) -> CallGraph:
                     cls.bases.append(str(cand))
             _scan_class_attr_types(graph, mod, cls)
 
-    # Inherited slots: a class "has slots" only if its whole project
-    # ancestry declares them (one slotless ancestor reintroduces the dict).
-    def slots_closed(cq: str, seen: Set[str]) -> bool:
-        if cq in seen:
-            return True
-        seen.add(cq)
-        cls = graph.classes[cq]
-        if not cls.has_slots:
-            return False
-        return all(b not in graph.classes or slots_closed(b, seen)
-                   for b in cls.bases)
-
-    for cq in list(graph.classes):
-        graph.classes[cq].has_slots = slots_closed(cq, set())
-
     # Pass 3: call sites per function.
     for qual, func in graph.functions.items():
         mod = per_file_mod[func.path]
@@ -708,12 +661,8 @@ def build_callgraph(project: Project) -> CallGraph:
         for stmt in getattr(fn_node, "body", []):
             scanner.visit(stmt)
         graph.calls[qual] = scanner.sites
-        if scanner.instantiations:
-            graph.instantiations[qual] = scanner.instantiations
         for site in scanner.sites:
-            if site.kind == KIND_SCHEDULED:
-                graph.scheduled.add(site.callee)
-            elif site.kind == KIND_THREAD:
+            if site.kind == KIND_THREAD:
                 graph.thread_entries.add(site.callee)
             elif site.kind == KIND_PROCESS:
                 graph.process_entries.add(site.callee)
@@ -722,23 +671,3 @@ def build_callgraph(project: Project) -> CallGraph:
 
     return graph
 
-
-def hot_roots(project: Project, graph: CallGraph) -> Set[str]:
-    """Seed functions for the hot set (config roots + scheduled callbacks)."""
-    roots: Set[str] = set(graph.scheduled)
-    for cls_name, method in project.config.hot_roots:
-        for cqual, cls in graph.classes.items():
-            if cls.name != cls_name:
-                continue
-            resolved = graph.lookup_method(cqual, method)
-            if resolved is not None:
-                roots.add(resolved)
-    return roots
-
-
-def hot_set(project: Project, graph: CallGraph) -> Set[str]:
-    """Everything reachable from the hot roots over call/scheduled edges."""
-    return graph.reachable(
-        hot_roots(project, graph),
-        kinds=frozenset({KIND_CALL, KIND_SCHEDULED}),
-    )

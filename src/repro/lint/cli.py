@@ -6,16 +6,12 @@ Examples::
     ibcc-repro lint src/ --json             # machine output on stdout
     ibcc-repro lint src/ --json-out f.json  # human output + JSON artifact
     ibcc-repro lint --rule DET001 --rule KEY001 src/repro
-    ibcc-repro lint src/ --update-baseline  # accept current findings
-    ibcc-repro lint src/ --changed-only origin/main   # PR-diff scope
     ibcc-repro lint --list-rules
 
-A committed ``lint-baseline.json`` (see :mod:`repro.lint.baseline`) is
-auto-loaded when present in the current directory, so ``repro lint
-src/`` is the ratchet check: it fails only on findings *newer than the
-baseline*. ``--no-baseline`` shows the full debt; ``--update-baseline``
-re-accepts the current state (a reviewed decision — the diff of the
-baseline file is the review surface).
+Every run lints the whole given tree and reports every finding that no
+``# simlint:`` pragma at the flagged line suppresses; there is no
+baseline file and no changed-files scope, so a local run and the CI
+run report the same set.
 """
 
 from __future__ import annotations
@@ -23,11 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 from typing import List, Optional, Sequence
 
-from repro.lint.baseline import DEFAULT_BASELINE, Baseline
 from repro.lint.engine import LintPathError, run_lint
 from repro.lint.registry import RULES, all_rule_ids
 
@@ -37,8 +31,8 @@ def build_lint_parser() -> argparse.ArgumentParser:
         prog="ibcc-repro lint",
         description=(
             "simlint: whole-program determinism & invariant linter "
-            "(DET per-file + DET1xx interprocedural taint, PERF0xx "
-            "hot-path costs, CON0xx concurrency discipline, KEY001 "
+            "(DET per-file + DET1xx interprocedural taint, CON0xx "
+            "concurrency discipline, ERR0xx swallowed errors, KEY001 "
             "store-key drift, TRC001 trace coverage)"
         ),
     )
@@ -71,37 +65,6 @@ def build_lint_parser() -> argparse.ArgumentParser:
         help="exit nonzero on warnings too, not only errors",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "baseline file of accepted findings to subtract "
-            f"(default: {DEFAULT_BASELINE} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report the full finding set",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "write the current findings to the baseline file and exit 0 "
-            "(accepting them; review the baseline diff)"
-        ),
-    )
-    parser.add_argument(
-        "--changed-only",
-        default=None,
-        metavar="GITREF",
-        help=(
-            "report only findings in files changed since the merge-base "
-            "with GITREF (whole-program analysis still covers all paths)"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list the registered rules and exit",
@@ -113,48 +76,6 @@ def _default_paths() -> List[str]:
     return ["src"] if os.path.isdir("src") else ["."]
 
 
-def _changed_files(ref: str) -> List[str]:
-    """``.py`` files changed vs. the merge-base with ``ref``.
-
-    Uses the three-dot diff (merge-base semantics, the PR-review view)
-    plus uncommitted changes, so local runs before commit behave like
-    CI runs after.
-    """
-    out: List[str] = []
-    for cmd in (
-        ["git", "diff", "--name-only", f"{ref}...", "--"],
-        ["git", "diff", "--name-only", "HEAD", "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        proc = subprocess.run(
-            cmd, capture_output=True, text=True, check=False
-        )
-        if proc.returncode != 0:
-            raise LintPathError(
-                f"--changed-only: {' '.join(cmd)} failed: "
-                f"{proc.stderr.strip() or 'unknown git error'}"
-            )
-        out.extend(
-            line for line in proc.stdout.splitlines()
-            if line.endswith(".py")
-        )
-    seen = set()
-    unique = []
-    for path in out:
-        if path not in seen:
-            seen.add(path)
-            unique.append(path)
-    return unique
-
-
-def _resolve_baseline(args: argparse.Namespace) -> Optional[str]:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return args.baseline
-    return DEFAULT_BASELINE if os.path.isfile(DEFAULT_BASELINE) else None
-
-
 def lint_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for the lint subcommand; returns a process exit code."""
     args = build_lint_parser().parse_args(argv)
@@ -164,33 +85,9 @@ def lint_main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{rid}  [{rule.severity}]  {rule.summary}")
         return 0
     paths = list(args.paths) or _default_paths()
-
-    if args.update_baseline:
-        target = args.baseline or DEFAULT_BASELINE
-        try:
-            report = run_lint(paths, rules=args.rule)
-        except (LintPathError, KeyError) as exc:
-            print(f"lint: {exc.args[0]}", file=sys.stderr)
-            return 2
-        pairs = [(f, f.fingerprint) for f in report.findings]
-        Baseline.from_findings(pairs).save(target)
-        print(
-            f"simlint: baseline {target} updated with "
-            f"{len(report.findings)} finding(s)"
-        )
-        return 0
-
-    changed: Optional[List[str]] = None
     try:
-        if args.changed_only is not None:
-            changed = _changed_files(args.changed_only)
-        report = run_lint(
-            paths,
-            rules=args.rule,
-            baseline=_resolve_baseline(args),
-            changed_only=changed,
-        )
-    except (LintPathError, FileNotFoundError) as exc:
+        report = run_lint(paths, rules=args.rule)
+    except LintPathError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

@@ -10,9 +10,8 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.baseline import Baseline, fingerprint_findings
 from repro.lint.findings import SEV_ERROR, SEV_WARNING, Finding
 from repro.lint.pragmas import PragmaIndex
 from repro.lint.project import (
@@ -88,11 +87,6 @@ class LintReport:
     findings: List[Finding]
     files_checked: int
     rules_run: List[str] = field(default_factory=list)
-    #: Findings suppressed by the loaded baseline (ratchet debt).
-    baselined: int = 0
-    #: Findings outside the ``--changed-only`` file set (whole-program
-    #: analysis still saw those files; only reporting is narrowed).
-    out_of_scope: int = 0
 
     @property
     def errors(self) -> List[Finding]:
@@ -115,21 +109,16 @@ class LintReport:
         lines = [f.format() for f in self.findings]
         n_err, n_warn = len(self.errors), len(self.warnings)
         n_info = len(self.findings) - n_err - n_warn
-        summary = (
+        lines.append(
             f"simlint: {self.files_checked} file(s) checked, "
             f"{n_err} error(s), {n_warn} warning(s), {n_info} info"
         )
-        if self.baselined:
-            summary += f", {self.baselined} baselined"
-        if self.out_of_scope:
-            summary += f", {self.out_of_scope} outside --changed-only scope"
-        lines.append(summary)
         return "\n".join(lines)
 
     def to_json_dict(self) -> Dict[str, Any]:
         """The stable machine-readable form (``repro lint --json``)."""
         return {
-            "version": 2,
+            "version": 3,
             "files_checked": self.files_checked,
             "rules_run": list(self.rules_run),
             "summary": {
@@ -140,8 +129,6 @@ class LintReport:
                     - len(self.errors)
                     - len(self.warnings)
                 ),
-                "baselined": self.baselined,
-                "out_of_scope": self.out_of_scope,
             },
             "findings": [f.to_dict() for f in self.findings],
         }
@@ -161,32 +148,18 @@ def _load_file(path: str, root: str = "") -> SourceFile:
     )
 
 
-def _norm(path: str) -> str:
-    return os.path.normpath(os.path.abspath(path))
-
-
 def run_lint(
     paths: Sequence[str],
     *,
     rules: Optional[Sequence[str]] = None,
     config: Optional[LintConfig] = None,
-    baseline: Union[Baseline, str, None] = None,
-    changed_only: Optional[Sequence[str]] = None,
 ) -> LintReport:
     """Lint ``paths`` (files and/or directories) with the selected rules.
 
     Unparseable files produce a ``PARSE001`` error finding rather than
     aborting the run. Findings suppressed by ``# simlint:`` pragmas are
-    dropped before aggregation; the rest come back sorted by location,
-    each carrying its baseline fingerprint.
-
-    ``baseline`` (a :class:`~repro.lint.baseline.Baseline` or a file
-    path) subtracts previously-accepted findings by fingerprint; the
-    count survives in :attr:`LintReport.baselined`. ``changed_only``
-    narrows *reporting* to findings located in the given files — the
-    whole-program analysis still runs over every linted file, so a
-    change in a helper correctly surfaces findings at its sim-critical
-    call sites when those call sites are in the changed set.
+    dropped — a pragma at the flagged line is the one way to silence a
+    finding; the rest come back sorted by location.
     """
     selected: List[Rule] = get_rules(rules)
     files: List[SourceFile] = []
@@ -213,43 +186,9 @@ def run_lint(
                 continue
             findings.append(finding)
 
-    # Attach fingerprints (stable across line-number shifts).
-    sources = {f.path: f.source for f in files}
-    from dataclasses import replace
-
-    findings = [
-        replace(f, fingerprint=fp)
-        for f, fp in fingerprint_findings(findings, sources)
-    ]
-
-    baselined = 0
-    if baseline is not None:
-        if isinstance(baseline, str):
-            baseline = Baseline.load(baseline)
-        kept = []
-        for f in findings:
-            if f.fingerprint in baseline:
-                baselined += 1
-            else:
-                kept.append(f)
-        findings = kept
-
-    out_of_scope = 0
-    if changed_only is not None:
-        scope = {_norm(p) for p in changed_only}
-        kept = []
-        for f in findings:
-            if _norm(f.path) in scope:
-                kept.append(f)
-            else:
-                out_of_scope += 1
-        findings = kept
-
     findings.sort(key=lambda f: f.sort_key)
     return LintReport(
         findings=findings,
         files_checked=len(pairs),
         rules_run=[r.id for r in selected],
-        baselined=baselined,
-        out_of_scope=out_of_scope,
     )

@@ -29,10 +29,6 @@ class Finding:
     line: int
     col: int
     message: str
-    #: Stable identity for the baseline ratchet (rule + path + source
-    #: line text + ordinal; see :mod:`repro.lint.baseline`). Attached
-    #: by the engine after aggregation — rules leave it empty.
-    fingerprint: str = ""
 
     def __post_init__(self) -> None:
         if self.severity not in SEVERITY_RANK:
@@ -58,5 +54,4 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.lint.pragmas import PragmaIndex
@@ -47,15 +48,6 @@ class LintConfig:
     #: ``create_task`` handle means silent task loss (ERR002) and
     #: blocking calls inside ``async def`` stall the loop (CON001).
     async_packages: FrozenSet[str] = frozenset({"serve"})
-    #: ``(class, method)`` seeds of the PERF hot set: per-event dispatch
-    #: plus the scheduling entry points. Everything reachable from these
-    #: through the call graph — including scheduled callbacks — is "hot".
-    hot_roots: FrozenSet[Tuple[str, str]] = frozenset({
-        ("Simulator", "run"),
-        ("Simulator", "schedule"),
-        ("Simulator", "schedule_at"),
-        ("Simulator", "step"),
-    })
     #: Known worker-process entry points by bare function name, in
     #: addition to refs auto-detected via ``Process(target=...)``
     #: (CON002 module-state discipline).
@@ -63,6 +55,53 @@ class LintConfig:
 
 
 DEFAULT_CONFIG = LintConfig()
+
+
+class ImportTable:
+    """Local name → origin mapping for one module.
+
+    Rules work on resolved dotted call names (``import numpy as np`` →
+    ``np.random.random`` resolves to ``numpy.random.random``; ``from
+    time import perf_counter as clock`` → ``clock()`` resolves to
+    ``time.perf_counter``), so aliasing cannot dodge the linter.
+    """
+
+    __slots__ = ("modules", "names")
+
+    def __init__(self, tree: ast.Module) -> None:
+        # 'np' -> 'numpy'; 'random' -> 'random'
+        self.modules: Dict[str, str] = {}
+        # 'perf_counter' -> 'time.perf_counter'; 'datetime' -> 'datetime.datetime'
+        self.names: Dict[str, str] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    # 'import numpy.random' binds 'numpy'.
+                    target = alias.name if alias.asname else alias.name.split(".")[0]
+                    self.modules[local] = target
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                for alias in node.names:
+                    if alias.name == "*":
+                        continue
+                    local = alias.asname or alias.name
+                    self.names[local] = f"{node.module}.{alias.name}"
+
+    def resolve(self, node: ast.AST) -> Optional[str]:
+        """Resolve a Name/Attribute chain to its imported dotted origin."""
+        chain: List[str] = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            return None
+        chain.reverse()
+        root = node.id
+        if root in self.names:
+            return ".".join([self.names[root], *chain])
+        if root in self.modules:
+            return ".".join([self.modules[root], *chain])
+        return None
 
 
 @dataclass
@@ -78,6 +117,11 @@ class SourceFile:
     #: The walk root this file was discovered under — the call graph
     #: derives dotted module names relative to it.
     root: str = ""
+
+    @cached_property
+    def imports(self) -> ImportTable:
+        """The module's import table (built once, shared by every rule)."""
+        return ImportTable(self.tree)
 
     @property
     def module_name(self) -> str:

@@ -35,9 +35,8 @@ from repro.lint.callgraph import (
     FuncNode,
 )
 from repro.lint.findings import SEV_ERROR, Finding
-from repro.lint.project import Project, SourceFile
+from repro.lint.project import ImportTable, Project, SourceFile
 from repro.lint.registry import rule
-from repro.lint.rules_determinism import ImportTable
 
 #: Resolved dotted names that block the calling thread.
 _BLOCKING_PREFIXES = ("subprocess.", "requests.", "urllib.request.")
@@ -130,15 +129,11 @@ def con001_blocking_in_async(project: Project) -> Iterator[Finding]:
     graph = project.callgraph()
     assert isinstance(graph, CallGraph)
     by_path = _by_path(project)
-    tables: Dict[str, ImportTable] = {}
     direct: Dict[str, List[Tuple[str, int, int]]] = {}
     for qual, func in graph.functions.items():
         f = by_path.get(func.path)
-        if f is None:
-            continue
-        if func.path not in tables:
-            tables[func.path] = ImportTable(f.tree)
-        direct[qual] = _blocking_sites(func, tables[func.path])
+        if f is not None:
+            direct[qual] = _blocking_sites(func, f.imports)
     closure = _blocking_closure(graph, direct)
 
     for qual in sorted(graph.functions):

@@ -1,157 +1,25 @@
-"""Per-file determinism rules: DET001–DET004 and IMP001.
+"""Per-file order rules: DET003, DET004 and IMP001.
 
-All four DET rules work on resolved dotted call names: the import
-table of each module maps local names back to the modules they came
-from (``import numpy as np`` → ``np.random.random`` resolves to
-``numpy.random.random``; ``from time import perf_counter as clock`` →
-``clock()`` resolves to ``time.perf_counter``), so aliasing cannot
-dodge the linter.
+DET003/DET004 flag iteration and float summation whose order follows
+set hashing; IMP001 flags dead imports. The raw-randomness and
+wall-clock rules (DET001/DET002) read the same per-file scan as the
+taint rules and live in :mod:`repro.lint.rules_taint`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set
 
-from repro.lint.findings import SEV_ERROR, SEV_INFO, SEV_WARNING, Finding
+from repro.lint.findings import SEV_INFO, SEV_WARNING, Finding
 from repro.lint.project import Project
 from repro.lint.registry import rule
-
-# numpy.random attributes that only *construct seeded machinery* and
-# never draw — explicit-seed plumbing is exactly what engine.rng does.
-_SAFE_NP_RANDOM = frozenset(
-    {"SeedSequence", "BitGenerator", "PCG64", "PCG64DXSM", "MT19937",
-     "Philox", "SFC64"}
-)
-
-# Wall-clock reads (resolved dotted names). ``time.process_time`` and
-# CLOCK_* reads count too: any host-machine clock on the event path
-# couples simulated behavior to scheduler noise.
-_WALLCLOCK = frozenset(
-    {"time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-     "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-     "time.process_time_ns", "time.clock_gettime", "time.clock_gettime_ns",
-     "datetime.datetime.now", "datetime.datetime.utcnow",
-     "datetime.datetime.today", "datetime.date.today"}
-)
-
-
-class ImportTable:
-    """Local name → origin mapping for one module."""
-
-    __slots__ = ("modules", "names")
-
-    def __init__(self, tree: ast.Module) -> None:
-        # 'np' -> 'numpy'; 'random' -> 'random'
-        self.modules: Dict[str, str] = {}
-        # 'perf_counter' -> 'time.perf_counter'; 'datetime' -> 'datetime.datetime'
-        self.names: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    # 'import numpy.random' binds 'numpy'.
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
-                    self.modules[local] = target
-            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    self.names[local] = f"{node.module}.{alias.name}"
-
-    def resolve(self, node: ast.AST) -> Optional[str]:
-        """Resolve a Name/Attribute chain to its imported dotted origin."""
-        chain: List[str] = []
-        while isinstance(node, ast.Attribute):
-            chain.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        chain.reverse()
-        root = node.id
-        if root in self.names:
-            return ".".join([self.names[root], *chain])
-        if root in self.modules:
-            return ".".join([self.modules[root], *chain])
-        return None
 
 
 def _calls(tree: ast.Module) -> Iterator[ast.Call]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             yield node
-
-
-@rule(
-    "DET001",
-    severity=SEV_ERROR,
-    summary=(
-        "raw random.* / numpy.random draw or generator construction in a "
-        "sim-critical package; route randomness through "
-        "repro.engine.rng.RngRegistry"
-    ),
-)
-def det001_raw_random(project: Project) -> Iterator[Finding]:
-    """No untracked randomness on the event path.
-
-    Flags every call into the stdlib ``random`` module and every
-    ``numpy.random`` call except pure seeded-machinery constructors
-    (``SeedSequence``/bit generators). Constructing an
-    ``np.random.Generator`` directly is flagged too — outside the
-    blessed :mod:`repro.engine.rng` module a local generator bypasses
-    the keyed-stream registry that keeps draws stable as the code
-    evolves (a justified, documented ``# simlint: disable=DET001``
-    pragma is the escape hatch).
-    """
-    for f in project.files:
-        if not project.sim_critical(f) or project.rng_blessed(f):
-            continue
-        table = ImportTable(f.tree)
-        for call in _calls(f.tree):
-            dotted = table.resolve(call.func)
-            if dotted is None:
-                continue
-            if dotted.startswith("random."):
-                yield Finding(
-                    "DET001", SEV_ERROR, f.path, call.lineno, call.col_offset,
-                    f"call to stdlib {dotted}() in sim-critical code; use a "
-                    "seeded stream from repro.engine.rng.RngRegistry",
-                )
-            elif dotted.startswith("numpy.random."):
-                attr = dotted.split(".")[-1]
-                if attr in _SAFE_NP_RANDOM:
-                    continue
-                yield Finding(
-                    "DET001", SEV_ERROR, f.path, call.lineno, call.col_offset,
-                    f"call to {dotted}() in sim-critical code; draw from a "
-                    "keyed repro.engine.rng.RngRegistry stream instead",
-                )
-
-
-@rule(
-    "DET002",
-    severity=SEV_ERROR,
-    summary=(
-        "wall-clock read (time.*/datetime.now) on the event path; real "
-        "time is allowed only in telemetry packages"
-    ),
-)
-def det002_wall_clock(project: Project) -> Iterator[Finding]:
-    """No host-clock reads inside sim-critical packages."""
-    for f in project.files:
-        if not project.sim_critical(f) or project.wallclock_allowed(f):
-            continue
-        table = ImportTable(f.tree)
-        for call in _calls(f.tree):
-            dotted = table.resolve(call.func)
-            if dotted in _WALLCLOCK:
-                yield Finding(
-                    "DET002", SEV_ERROR, f.path, call.lineno, call.col_offset,
-                    f"wall-clock read {dotted}() on the event path; virtual "
-                    "time comes from the simulator, telemetry belongs in "
-                    "parallel/experiments",
-                )
 
 
 def _set_valued(node: ast.AST) -> bool:
@@ -199,15 +67,14 @@ def _unordered_iter(node: ast.AST, set_names: Set[str]) -> Optional[str]:
     return None
 
 
-def _iteration_sites(tree: ast.Module) -> Iterator[Tuple[ast.expr, int, int]]:
-    """Every ``for``-iterated expression (statements + comprehensions)."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            yield node.iter, node.iter.lineno, node.iter.col_offset
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                               ast.GeneratorExp)):
-            for gen in node.generators:
-                yield gen.iter, gen.iter.lineno, gen.iter.col_offset
+def _iterated(node: ast.AST) -> List[ast.expr]:
+    """The expressions ``node`` iterates (a ``for`` or a comprehension)."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return [node.iter]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                         ast.GeneratorExp)):
+        return [gen.iter for gen in node.generators]
+    return []
 
 
 @rule(
@@ -230,11 +97,13 @@ def det003_unordered_iteration(project: Project) -> Iterator[Finding]:
         if not project.sim_critical(f):
             continue
         set_names = _set_assigned_names(f.tree)
-        for expr, lineno, col in _iteration_sites(f.tree):
-            why = _unordered_iter(expr, set_names)
-            if why is not None:
+        for node in ast.walk(f.tree):
+            for expr in _iterated(node):
+                why = _unordered_iter(expr, set_names)
+                if why is None:
+                    continue
                 yield Finding(
-                    "DET003", SEV_WARNING, f.path, lineno, col,
+                    "DET003", SEV_WARNING, f.path, expr.lineno, expr.col_offset,
                     f"iterating {why} in sim-critical code; wrap in "
                     "sorted(...) to pin the order",
                 )

@@ -24,7 +24,8 @@ class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args(["fig10"])
         assert args.scale == "default"
-        assert args.p == 60
+        assert args.p is None  # fig10 applies its default, 60 %
+        assert args.p_step is None and args.chart is False
         assert args.seed == 7
         assert args.jobs == 1
         assert args.cache_dir is None
@@ -83,6 +84,23 @@ class TestParser:
 
     def test_faults_artifact_rejects_fault_flags(self):
         assert main(["faults", "--chaos", "7"]) == 2
+
+    @pytest.mark.parametrize("artifact, flags", [
+        ("table2", ["--chart"]),
+        ("table2", ["--p", "30"]),
+        ("table2", ["--p-step", "20"]),
+        ("faults", ["--chart"]),
+        ("arena", ["--p", "60"]),
+        ("fig5", ["--p", "0"]),
+        ("fig9a", ["--p-step", "20"]),
+        ("fig10", ["--p-step", "20"]),
+    ])
+    def test_figure_flags_refused_where_not_read(self, artifact, flags, capsys):
+        assert main([artifact, "--scale", "quick", *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid configuration: {flags[0]} does not apply to the "
+            f"{artifact} artifact\n"
+        )
 
     def test_empty_p_sweep_is_exit_code_2(self):
         # A p step <= 0 sweeps nothing; it is refused before any cell runs.

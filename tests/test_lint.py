@@ -143,6 +143,42 @@ def test_det001_aliased_import_is_still_caught(tmp_path):
     assert rule_ids(report) == ["DET001"]
 
 
+def test_det001_det002_cover_code_outside_functions(tmp_path):
+    """Module and class bodies, nested classes, decorator arguments
+    and a shadowed redefinition are all flagged, not only the bodies of
+    the functions the call graph knows."""
+    report = lint_tree(tmp_path, {
+        "engine/gen.py": """\
+            import random
+            import time
+
+            SEED = random.random()
+
+            @register(time.time())
+            def f():
+                return random.random()
+
+            def f():
+                return time.monotonic()
+
+            class K:
+                START = time.perf_counter()
+
+                class Inner:
+                    def m(self):
+                        return random.gauss(0, 1)
+            """,
+    }, rules=["DET001", "DET002"])
+    assert [(f.rule, f.line, f.col) for f in report.findings] == [
+        ("DET001", 4, 7),
+        ("DET002", 6, 10),
+        ("DET001", 8, 11),
+        ("DET002", 11, 11),
+        ("DET002", 14, 12),
+        ("DET001", 18, 19),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # DET002 — wall clock
 
@@ -759,18 +795,17 @@ def test_json_report_schema(tmp_path):
         "engine/gen.py": "import random\nX = random.random()\n",
     }, rules=["DET001"])
     data = json.loads(json.dumps(report.to_json_dict()))
-    assert data["version"] == 2
+    assert set(data) == {
+        "version", "files_checked", "rules_run", "summary", "findings",
+    }
+    assert data["version"] == 3
     assert data["files_checked"] == 1
     assert data["rules_run"] == ["DET001"]
-    assert data["summary"] == {
-        "errors": 1, "warnings": 0, "info": 0,
-        "baselined": 0, "out_of_scope": 0,
-    }
+    assert data["summary"] == {"errors": 1, "warnings": 0, "info": 0}
     (finding,) = data["findings"]
     assert set(finding) == {
-        "rule", "severity", "path", "line", "col", "message", "fingerprint",
+        "rule", "severity", "path", "line", "col", "message",
     }
-    assert finding["fingerprint"]
     assert finding["rule"] == "DET001"
     assert finding["line"] == 2
 
@@ -816,7 +851,7 @@ def test_cli_lint_json_and_artifact(tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert json.loads(stdout)["summary"]["errors"] == 0
-    assert json.loads(out_file.read_text())["version"] == 2
+    assert json.loads(out_file.read_text())["version"] == 3
 
 
 def test_cli_lint_list_rules(capsys):
