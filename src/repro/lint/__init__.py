@@ -4,13 +4,12 @@ The reproduction's headline results rest on bit-for-bit deterministic
 replay — golden trace digests, ``jobs=1`` vs ``jobs=4`` digest
 equality, seeded chaos schedules. One stray ``random.random()``,
 wall-clock read, or unordered-``set`` iteration inside the event path
-silently breaks every digest downstream, and the runtime campaigns
-only catch it an hour later. simlint moves that detection to a static
-pass that fails in seconds.
+silently breaks every digest downstream. simlint flags those in code
+no test has to run, and keeps the service code's concurrency and
+error-handling disciplines.
 
-Per-file rules (see :mod:`repro.lint.rules_taint` /
-:mod:`repro.lint.rules_determinism` / :mod:`repro.lint.rules_crossref` /
-:mod:`repro.lint.rules_robustness`):
+Per-file rules (see :mod:`repro.lint.rules_determinism` /
+:mod:`repro.lint.rules_crossref` / :mod:`repro.lint.rules_robustness`):
 
 ========  ==============================================================
 DET001    no raw ``random.*`` / ``numpy.random`` stateful calls in
@@ -22,6 +21,8 @@ DET003    no iteration over bare ``set()`` / non-literal ``.keys()``
           in sim-critical code without an explicit ``sorted(...)``
 DET004    no float accumulation via ``sum()`` over unordered
           (set-typed) iterables in ``metrics`` / ``core``
+DET103    no ``id()`` and no ``os.environ`` / ``os.getenv`` reads in
+          sim-critical packages
 KEY001    store-key drift — every ``ExperimentConfig`` (and nested
           fault/transport config) dataclass field must be reflected in
           ``store.config_key``'s serialization
@@ -37,17 +38,15 @@ IMP001    unused module-level import (dead-code hygiene; never fails
           the build)
 ========  ==============================================================
 
+What a simulation reads *while it runs* is checked by running it, not
+here: the test suite's sentinel and hash-seed differential
+(``tests/determinism.py``, whose mutant table decides which DET rules
+stay; each one names its kills in its docstring).
+
 Whole-program rules, built on the project call graph
-(:mod:`repro.lint.callgraph`; see :mod:`repro.lint.rules_taint` /
-:mod:`repro.lint.rules_concurrency`):
+(:mod:`repro.lint.callgraph`; see :mod:`repro.lint.rules_concurrency`):
 
 ========  ==============================================================
-DET101    interprocedural DET001 — sim-critical call into a helper
-          whose call closure draws raw random numbers
-DET102    interprocedural DET002 — sim-critical call into a helper
-          whose call closure reads the wall clock
-DET103    ``id()`` / ``os.environ`` reads / unordered-set iteration on
-          the event path, directly or through helper chains
 CON001    blocking calls (``time.sleep``, file I/O, subprocess) inside
           ``async def``, directly or through sync helpers
 CON002    module-level mutable state mutated by code reachable from a
@@ -97,7 +96,6 @@ from repro.lint import rules_concurrency as _rules_concurrency  # noqa: F401
 from repro.lint import rules_crossref as _rules_crossref  # noqa: F401
 from repro.lint import rules_determinism as _rules_determinism  # noqa: F401
 from repro.lint import rules_robustness as _rules_robustness  # noqa: F401
-from repro.lint import rules_taint as _rules_taint  # noqa: F401
 
 __all__ = [
     "CallGraph",

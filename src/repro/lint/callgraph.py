@@ -1,10 +1,9 @@
 """Whole-program symbol table + call graph for simlint.
 
-The per-file rules (DET001–DET004) stop at module boundaries: a
-``time.time()`` buried in a shared helper escapes them the moment the
-helper lives outside a sim-critical package. The interprocedural rule
-families (DET1xx taint, CON0xx concurrency) need to see *through*
-calls, so this module builds, once per lint run:
+The per-file rules stop at module boundaries; the concurrency rules
+(CON001–CON003) need to see *through* calls — a blocking helper called
+from ``async def``, a module global mutated three calls below a
+worker entry point — so this module builds, once per lint run:
 
 * a **symbol table** — every module, top-level function, class (with
   methods, resolved base classes and inferred instance-attribute
@@ -20,8 +19,8 @@ calls, so this module builds, once per lint run:
   ``ref``     a function reference passed as an argument — it may be
               invoked by the receiver
   ``scheduled`` a reference passed to a ``schedule``/``schedule_at``
-              call: the event loop *will* invoke it, so it carries
-              determinism taint
+              call: the event loop *will* invoke it (in whichever
+              process runs the simulator)
   ``thread``  a reference passed as ``target=`` to a ``Thread`` (or an
               ``run_in_executor``/``to_thread`` argument): it runs off
               the event loop
@@ -270,16 +269,15 @@ class CallGraph:
         self,
         start: str,
         targets: Set[str],
-        kinds: FrozenSet[str] = frozenset({KIND_CALL, KIND_SCHEDULED}),
     ) -> List[str]:
-        """Shortest call chain from ``start`` to any of ``targets``."""
+        """Shortest call-edge chain from ``start`` to any of ``targets``."""
         parent: Dict[str, Optional[str]] = {start: None}
         queue = deque([start])
         hit: Optional[str] = start if start in targets else None
         while queue and hit is None:
             fn = queue.popleft()
             for site in self.calls.get(fn, ()):
-                if site.kind not in kinds or site.callee in parent:
+                if site.kind != KIND_CALL or site.callee in parent:
                     continue
                 parent[site.callee] = fn
                 if site.callee in targets:
@@ -388,7 +386,7 @@ class _FunctionScanner(ast.NodeVisitor):
 
     # Nested defs/lambdas are attributed to the enclosing function:
     # their bodies execute (if at all) on behalf of this node, which is
-    # the sound over-approximation for taint purposes.
+    # the sound over-approximation for reachability.
 
     def _resolve_expr(self, node: ast.AST) -> Optional[str]:
         """Resolve an expression to a project function/class qualname."""

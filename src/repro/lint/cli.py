@@ -31,7 +31,7 @@ def build_lint_parser() -> argparse.ArgumentParser:
         prog="ibcc-repro lint",
         description=(
             "simlint: whole-program determinism & invariant linter "
-            "(DET per-file + DET1xx interprocedural taint, CON0xx "
+            "(DET per-file determinism rules, CON0xx "
             "concurrency discipline, ERR0xx swallowed errors, KEY001 "
             "store-key drift, TRC001 trace coverage)"
         ),

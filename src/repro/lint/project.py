@@ -33,7 +33,7 @@ class LintConfig:
     #: Package names whose code is on (or feeds) the event path.
     sim_critical: FrozenSet[str] = frozenset(
         {"engine", "network", "core", "traffic", "faults", "transport",
-         "trace", "topology", "cc"}
+         "trace", "topology", "cc", "metrics"}
     )
     #: Packages allowed to read the wall clock (telemetry only).
     wallclock_allowed: FrozenSet[str] = frozenset(

@@ -7,7 +7,7 @@ enforce them structurally, using the whole-program call graph:
 * **CON001** — an ``async def`` must never block the event loop: no
   ``time.sleep``, file/pipe I/O, or ``subprocess`` calls, neither
   directly nor through a sync helper it calls (the call graph carries
-  blocking taint through call edges; references handed to
+  blocking calls back through call edges; references handed to
   ``run_in_executor``/``to_thread`` are exactly the sanctioned escape
   and carry nothing).
 * **CON002** — code reachable from a worker-*process* entry point
@@ -157,9 +157,7 @@ def con001_blocking_in_async(project: Project) -> Iterator[Finding]:
             if site.callee not in closure:
                 continue
             chain = graph.chain(
-                site.callee,
-                {q for q, sites in direct.items() if sites},
-                kinds=frozenset({KIND_CALL}),
+                site.callee, {q for q, sites in direct.items() if sites}
             )
             via = " -> ".join(chain) if chain else site.callee
             first = next(

@@ -1,19 +1,184 @@
-"""Per-file order rules: DET003, DET004 and IMP001.
+"""Determinism rules DET001–DET004 and DET103, and IMP001.
 
-DET003/DET004 flag iteration and float summation whose order follows
-set hashing; IMP001 flags dead imports. The raw-randomness and
-wall-clock rules (DET001/DET002) read the same per-file scan as the
-taint rules and live in :mod:`repro.lint.rules_taint`.
+Every rule here reads one file at a time. DET001/DET002/DET103 flag
+host-state reads — raw ``random``/``numpy.random`` draws, wall-clock
+reads, ``id()`` and ``os.environ``/``os.getenv`` — anywhere in a
+sim-critical file, module and class bodies included; DET003/DET004
+flag iteration and float summation whose order follows set hashing;
+IMP001 flags dead imports.
+
+What a simulation reads while it runs is checked by running it: the
+test suite's sentinel makes host clocks, stdlib ``random`` and
+``os.environ`` raise inside ``Simulator.run``, and a hash-seed
+differential replays two cells under ``PYTHONHASHSEED=0`` and ``=1``
+(``tests/determinism.py``). The rules kept here are judged by that
+file's mutant table (README "Static analysis" prints it); each rule's
+docstring names the mutants it kills.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.lint.findings import SEV_INFO, SEV_WARNING, Finding
-from repro.lint.project import Project
+from repro.lint.findings import SEV_ERROR, SEV_INFO, SEV_WARNING, Finding
+from repro.lint.project import Project, SourceFile
 from repro.lint.registry import rule
+
+# numpy.random attributes that only *construct seeded machinery* and
+# never draw — explicit-seed plumbing is exactly what engine.rng does.
+_SAFE_NP_RANDOM = frozenset(
+    {"SeedSequence", "BitGenerator", "PCG64", "PCG64DXSM", "MT19937",
+     "Philox", "SFC64"}
+)
+
+# Wall-clock reads (resolved dotted names). ``time.process_time`` and
+# CLOCK_* reads count too: any host-machine clock on the event path
+# couples simulated behavior to scheduler noise.
+_WALLCLOCK = frozenset(
+    {"time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+     "time.perf_counter", "time.perf_counter_ns", "time.process_time",
+     "time.process_time_ns", "time.clock_gettime", "time.clock_gettime_ns",
+     "datetime.datetime.now", "datetime.datetime.utcnow",
+     "datetime.datetime.today", "datetime.date.today"}
+)
+
+#: Host-state read kinds.
+K_RANDOM = "random"
+K_WALLCLOCK = "wallclock"
+K_OTHER = "other"  # id() / os.environ
+
+
+def _host_reads(f: SourceFile) -> Iterator[Tuple[str, str, ast.expr]]:
+    """``(kind, what, node)`` for every host-state read in one file."""
+    table = f.imports
+    for node in ast.walk(f.tree):
+        if isinstance(node, ast.Call):
+            dotted = table.resolve(node.func)
+            if dotted is None:
+                if isinstance(node.func, ast.Name) and node.func.id == "id":
+                    yield K_OTHER, "id()", node
+            elif dotted.startswith("random."):
+                yield K_RANDOM, f"{dotted}()", node
+            elif dotted.startswith("numpy.random."):
+                if dotted.split(".")[-1] not in _SAFE_NP_RANDOM:
+                    yield K_RANDOM, f"{dotted}()", node
+            elif dotted in _WALLCLOCK:
+                yield K_WALLCLOCK, f"{dotted}()", node
+            elif dotted in ("os.getenv", "os.environ.get"):
+                yield K_OTHER, f"{dotted}()", node
+        elif isinstance(node, ast.Subscript):
+            if table.resolve(node.value) == "os.environ":
+                yield K_OTHER, "os.environ[...]", node
+
+
+def _sim_reads(
+    project: Project, kind: str
+) -> Iterator[Tuple[SourceFile, str, ast.expr]]:
+    """Host-state reads of ``kind`` in sim-critical files."""
+    for f in project.files:
+        if project.sim_critical(f):
+            for k, what, node in _host_reads(f):
+                if k == kind:
+                    yield f, what, node
+
+
+@rule(
+    "DET001",
+    severity=SEV_ERROR,
+    summary=(
+        "raw random.* / numpy.random draw or generator construction in a "
+        "sim-critical package; route randomness through "
+        "repro.engine.rng.RngRegistry"
+    ),
+)
+def det001_raw_random(project: Project) -> Iterator[Finding]:
+    """No untracked randomness on the event path.
+
+    Flags every call into the stdlib ``random`` module and every
+    ``numpy.random`` call except pure seeded-machinery constructors
+    (``SeedSequence``/bit generators). Constructing an
+    ``np.random.Generator`` directly is flagged too — outside the
+    blessed :mod:`repro.engine.rng` module a local generator bypasses
+    the keyed-stream registry that keeps draws stable as the code
+    evolves (a justified, documented ``# simlint: disable=DET001``
+    pragma is the escape hatch).
+
+    Kills mutant C, which the sentinel and the differential kill too;
+    it has no kill of its own. It stays for the code of the simulated
+    packages that runs outside ``Simulator.run`` — module bodies,
+    network and CC setup, result reductions — where the sentinel is
+    off and the differential sees only what changes its two cells.
+    """
+    for f, what, node in _sim_reads(project, K_RANDOM):
+        if project.rng_blessed(f):
+            continue
+        if what.startswith("random."):
+            message = (
+                f"call to stdlib {what} in sim-critical code; use a "
+                "seeded stream from repro.engine.rng.RngRegistry"
+            )
+        else:
+            message = (
+                f"call to {what} in sim-critical code; draw from a "
+                "keyed repro.engine.rng.RngRegistry stream instead"
+            )
+        yield Finding(
+            "DET001", SEV_ERROR, f.path, node.lineno, node.col_offset, message
+        )
+
+
+@rule(
+    "DET002",
+    severity=SEV_ERROR,
+    summary=(
+        "wall-clock read (time.*/datetime.now) on the event path; real "
+        "time is allowed only in telemetry packages"
+    ),
+)
+def det002_wall_clock(project: Project) -> Iterator[Finding]:
+    """No host-clock reads inside sim-critical packages.
+
+    Kills mutant A, which the sentinel kills too; like DET001 it has
+    no kill of its own and stays for the simulated packages' code
+    outside ``Simulator.run``.
+    """
+    for f, what, node in _sim_reads(project, K_WALLCLOCK):
+        if project.wallclock_allowed(f):
+            continue
+        yield Finding(
+            "DET002", SEV_ERROR, f.path, node.lineno, node.col_offset,
+            f"wall-clock read {what} on the event path; virtual "
+            "time comes from the simulator, telemetry belongs in "
+            "parallel/experiments",
+        )
+
+
+@rule(
+    "DET103",
+    severity=SEV_ERROR,
+    summary=(
+        "id() or an os.environ / os.getenv read in sim-critical code: "
+        "the value depends on process or launcher state"
+    ),
+)
+def det103_process_state(project: Project) -> Iterator[Finding]:
+    """Identity and environment reads in sim-critical code.
+
+    ``id()`` values change per process (breaking any ordering or
+    hashing built on them) and ``os.environ`` reads couple behavior to
+    launcher state. Kills mutants D and F; D — an environment read in
+    CC option defaults, made while the network is built — is killed by
+    nothing else: the sentinel is off during setup, and both
+    interpreters of the differential see the same environment.
+    """
+    for f, what, node in _sim_reads(project, K_OTHER):
+        yield Finding(
+            "DET103", SEV_ERROR, f.path, node.lineno, node.col_offset,
+            f"{what} in sim-critical code: the value depends on "
+            "process/launcher state, not simulation inputs; pass it "
+            "in as explicit configuration",
+        )
 
 
 def _calls(tree: ast.Module) -> Iterator[ast.Call]:
@@ -92,6 +257,10 @@ def det003_unordered_iteration(project: Project) -> Iterator[Finding]:
     a handler that walks one unsorted feeds hash noise straight into
     the event schedule. Wrap the iterable in ``sorted(...)`` (the fix)
     or a pragma (the documented exception).
+
+    Kills mutants E and G. G — a float sum over a set of node ids — is
+    killed by no run-time check: ``int`` hashes do not depend on the
+    hash seed, so the differential's two interpreters agree.
     """
     for f in project.files:
         if not project.sim_critical(f):
@@ -118,7 +287,10 @@ def det003_unordered_iteration(project: Project) -> Iterator[Finding]:
     ),
 )
 def det004_unordered_sum(project: Project) -> Iterator[Finding]:
-    """``sum()`` over a set re-associates float addition per hash order."""
+    """``sum()`` over a set re-associates float addition per hash order.
+
+    Kills mutant G, which no run-time check kills (see DET003).
+    """
     for f in project.files:
         if not project.float_sum_scope(f):
             continue

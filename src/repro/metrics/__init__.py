@@ -3,8 +3,9 @@
 :class:`~repro.metrics.collector.Collector` records per-node
 transmitted/received bytes with a warmup cutoff; the analysis helpers
 aggregate them into the quantities the paper reports — average receive
-rate per node group, total network throughput, improvement factors and
-the analytic ``tmax`` curve of figures 5–8.
+rate per node group, total network throughput and the analytic
+``tmax`` curve of figures 5–8; the improvement factors are the figure
+drivers' (``repro.experiments``).
 """
 
 from repro.metrics.collector import Collector

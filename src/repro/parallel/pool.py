@@ -255,11 +255,14 @@ def run_campaign(
 
     outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
     pending: Deque[CellJob] = deque()
+    keys = [
+        config_key(cfg) if isinstance(cfg, ExperimentConfig) else _fallback_key(cfg)
+        for cfg in cells
+    ]
 
     # Read-through: completed cells are served from the cache, prior
     # quarantined failures are replayed as records (not re-run).
-    for i, cfg in enumerate(cells):
-        key = config_key(cfg) if isinstance(cfg, ExperimentConfig) else _fallback_key(cfg)
+    for i, (cfg, key) in enumerate(zip(cells, keys)):
         cached = cache.load(cfg) if isinstance(cfg, ExperimentConfig) else None
         if cached is not None:
             outcomes[i] = CellOutcome(
@@ -337,6 +340,17 @@ def run_campaign(
             was_interrupted = True
         finally:
             restore_sigterm()
+        # An interrupt can land between the supervisor taking a cell off
+        # the queue and the cell's first recorded state; such a cell is
+        # interrupted too, so every manifest covers the whole grid.
+        for i, outcome in enumerate(outcomes):
+            if outcome is None:
+                outcomes[i] = CellOutcome(
+                    index=i, config=cells[i], key=keys[i],
+                    status="interrupted", attempts=0, wall_seconds=0.0,
+                    error="interrupted before start",
+                )
+                reporter.on_outcome(outcomes[i])
 
     reporter.finish()
     manifest = build_manifest(complete=not was_interrupted)

@@ -14,6 +14,7 @@ from repro.metrics import Collector
 from repro.network import HcaConfig, Network, NetworkConfig
 from repro.topology import folded_clos, host_path, three_stage_fat_tree
 from repro.traffic import BNodeSource, FixedRateSource, HotspotSchedule
+from tests.determinism import install_sentinel
 
 try:
     from hypothesis import settings
@@ -39,6 +40,18 @@ def pytest_addoption(parser):
         default=False,
         help="rewrite the golden trace-digest fixtures under tests/golden/",
     )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def host_state_sentinel():
+    """Every simulation in the suite runs under the determinism sentinel.
+
+    Installed before the first test, so campaign workers forked by any
+    test inherit it (``tests/determinism.py``).
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        install_sentinel(mp)
+        yield
 
 
 @pytest.fixture

@@ -1,12 +1,11 @@
-"""simlint whole-program analysis: call graph, taint, concurrency.
+"""simlint whole-program analysis: call graph and concurrency rules.
 
-A ``time.time()`` helper *outside* the sim-critical zone, imported and
-called from ``engine``, is caught (DET102) — including when the
-injection is made into a sandboxed copy of the real shipped tree — and
-the shipped tree lints clean with no baseline of accepted findings.
+The call graph resolves imports, aliases, methods and scheduled
+callbacks for the CON rules, and the shipped tree lints clean with no
+baseline of accepted findings. Host-state reads on the event path are
+checked at run time (``tests/test_determinism.py``).
 """
 
-import shutil
 import textwrap
 from pathlib import Path
 
@@ -21,7 +20,6 @@ from repro.lint import (
 )
 from repro.lint.callgraph import (
     KIND_CALL,
-    KIND_REF,
     KIND_SCHEDULED,
     build_callgraph,
 )
@@ -158,100 +156,7 @@ def test_callgraph_records_scheduled_refs(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# DET1xx interprocedural taint
-
-
-def test_det102_catches_cross_file_wallclock_helper(tmp_path):
-    """The DET002 blind spot: the read lives outside the sim zone."""
-    report = lint_tree(tmp_path, {
-        "util/clock.py": """\
-            import time
-
-            def now_ms():
-                return int(time.time() * 1000)
-            """,
-        "engine/core.py": """\
-            from util.clock import now_ms
-
-            def stamp(ev):
-                ev.t = now_ms()
-            """,
-    }, rules=["DET002", "DET102"])
-    assert rule_ids(report) == ["DET102"]
-    finding = report.findings[0]
-    assert finding.path.endswith("core.py")  # flagged at the boundary
-    assert "util.clock.now_ms" in finding.message
-    assert "time.time" in finding.message
-
-
-def test_det101_transitive_random_chain(tmp_path):
-    report = lint_tree(tmp_path, {
-        "util/a.py": """\
-            from util.b import draw
-
-            def pick():
-                return draw()
-            """,
-        "util/b.py": """\
-            import random
-
-            def draw():
-                return random.random()
-            """,
-        "engine/core.py": """\
-            from util.a import pick
-
-            def choose():
-                return pick()
-            """,
-    }, rules=["DET101"])
-    assert rule_ids(report) == ["DET101"]
-    msg = report.findings[0].message
-    assert "util.a.pick" in msg and "util.b.draw" in msg
-
-
-def test_taint_clean_helper_is_silent(tmp_path):
-    report = lint_tree(tmp_path, {
-        "util/math.py": "def double(x):\n    return 2 * x\n",
-        "engine/core.py": """\
-            from util.math import double
-
-            def go():
-                return double(3)
-            """,
-    }, rules=["DET101", "DET102", "DET103"])
-    assert rule_ids(report) == []
-
-
-def test_det102_exempt_in_wallclock_allowed_package(tmp_path):
-    report = lint_tree(tmp_path, {
-        "util/clock.py": "import time\n\ndef now():\n    return time.time()\n",
-        "parallel/driver.py": """\
-            from util.clock import now
-
-            def stamp():
-                return now()
-            """,
-    }, rules=["DET102"])
-    assert rule_ids(report) == []
-
-
-def test_det101_taints_scheduled_callbacks(tmp_path):
-    report = lint_tree(tmp_path, {
-        "util/jitter.py": """\
-            import random
-
-            def wobble():
-                return random.random()
-            """,
-        "engine/core.py": """\
-            from util.jitter import wobble
-
-            def arm(sim):
-                sim.schedule(5, wobble)
-            """,
-    }, rules=["DET101"])
-    assert rule_ids(report) == ["DET101"]
+# DET103: process and launcher state
 
 
 def test_det103_direct_env_read_and_next_line_pragma(tmp_path):
@@ -274,37 +179,6 @@ def test_det103_direct_env_read_and_next_line_pragma(tmp_path):
             """,
     }, rules=["DET103"])
     assert rule_ids(clean) == []
-
-
-def test_injected_cross_file_taint_caught_on_real_tree(tmp_path):
-    """Acceptance: inject a wall-clock helper into the shipped tree."""
-    sandbox = tmp_path / "src"
-    shutil.copytree(SRC / "repro", sandbox / "repro")
-    baseline = run_lint([str(sandbox)])
-    assert not any(f.rule == "DET102" for f in baseline.findings)
-
-    (sandbox / "repro" / "wallutil.py").write_text(textwrap.dedent("""\
-        import time
-
-
-        def now_ms():
-            return int(time.time() * 1000)
-        """))
-    sim = sandbox / "repro" / "engine" / "simulator.py"
-    sim.write_text(sim.read_text() + textwrap.dedent("""\
-
-
-        from repro.wallutil import now_ms
-
-
-        def _injected_probe():
-            return now_ms()
-        """))
-    report = run_lint([str(sandbox)])
-    hits = [f for f in report.findings if f.rule == "DET102"]
-    assert len(hits) == 1
-    assert hits[0].path.endswith("engine/simulator.py")
-    assert "time.time" in hits[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +339,7 @@ def test_cli_exits_2_on_non_py_explicit_file(tmp_path, capsys):
 #: The committed rule set: adding or dropping a rule is a reviewed diff.
 RULE_IDS = [
     "CON001", "CON002", "CON003",
-    "DET001", "DET002", "DET003", "DET004",
-    "DET101", "DET102", "DET103",
+    "DET001", "DET002", "DET003", "DET004", "DET103",
     "ERR001", "ERR002",
     "IMP001", "KEY001", "TRC001",
 ]

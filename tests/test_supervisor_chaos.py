@@ -39,6 +39,7 @@ from repro.parallel import (
     RunManifest,
     run_campaign,
 )
+from repro.parallel.pool import CampaignInterrupted
 from repro.parallel.supervisor import CellJob, Supervisor
 
 from tests.conftest import MICRO_SCALE, descendants, wait_processes_gone
@@ -471,6 +472,36 @@ class TestSigtermDrain:
             assert got.events == want.events
         statuses = [o.status for o in resumed.outcomes]
         assert statuses.count("cached") >= saved.ok
+
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupt_between_pop_and_dispatch_counts_every_cell(
+        self, monkeypatch, jobs
+    ):
+        # The SIGTERM handler raises KeyboardInterrupt at whatever
+        # bytecode runs: here, right after the second cell left the
+        # queue and before it was dispatched (jobs=2) or run (jobs=1).
+        real = Supervisor._next_eligible
+        popped = []
+
+        def next_eligible(self, now):
+            job = real(self, now)
+            if job is not None:
+                popped.append(job.index)
+                if len(popped) == 2:
+                    raise KeyboardInterrupt
+            return job
+
+        monkeypatch.setattr(Supervisor, "_next_eligible", next_eligible)
+        cells = [{"cell": i} for i in range(5)]
+        with pytest.raises(CampaignInterrupted) as exc:
+            run_campaign(
+                cells, jobs=jobs, oversubscribe=True, run_fn=_report_pid
+            )
+        manifest = exc.value.result.manifest
+        assert manifest.total_cells == len(cells)
+        assert (manifest.ok, manifest.interrupted) == (1, len(cells) - 1)
+        assert [o.index for o in exc.value.result.outcomes] == list(range(5))
 
 
 # ---------------------------------------------------------------------------
