@@ -19,7 +19,7 @@ or assemble the pieces yourself — see ``examples/quickstart.py``.
 from repro.engine import Simulator, RngRegistry
 from repro.network import Network, NetworkConfig, Hca, HcaConfig, LinkConfig, Switch
 from repro.core import CCParams, CCManager, build_cct
-from repro.cc import CCConfig, available_mechanisms, register_mechanism
+from repro.cc import CCConfig
 from repro.topology import (
     three_stage_fat_tree,
     sun_dcs_648,
@@ -45,8 +45,6 @@ __all__ = [
     "CCParams",
     "CCManager",
     "CCConfig",
-    "available_mechanisms",
-    "register_mechanism",
     "build_cct",
     "three_stage_fat_tree",
     "sun_dcs_648",

@@ -6,7 +6,12 @@ it is exactly the surface the rest of the simulator already consumes
 :meth:`~repro.network.hca.Hca.on_packet_received` calls ``on_becn``,
 :class:`~repro.traffic.generators.BNodeSource` gates eligibility on
 ``next_allowed``, :mod:`repro.faults` drives ``freeze``/``thaw``, and
-:func:`repro.core.stats.snapshot_cc` reads the counters).
+:class:`~repro.core.manager.CCManager` sums the counters).
+
+:class:`Mechanism` is one entry of :data:`repro.cc.MECHANISMS`: a name,
+the ``build(params, options)`` callable that runs once per network and
+returns the per-HCA constructor, the tunable options with their
+defaults, and a one-line description.
 
 :class:`RateBasedCC` is the scaffold the non-IB mechanisms share: a
 per-flow *injection-rate fraction* ``r`` in ``(0, 1]`` replaces the IB
@@ -26,9 +31,11 @@ implement how feedback and the periodic timer move ``r``:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Hashable,
     Mapping,
@@ -47,6 +54,20 @@ if TYPE_CHECKING:
 #: geometric recovery (e.g. DCQCN's (target+rate)/2) terminates and the
 #: timer can stop rearming on a fully recovered flow.
 FULL_RATE_SNAP = 1e-3
+
+
+@dataclass(frozen=True)
+class Mechanism:
+    """One congestion-control mechanism the arena can install.
+
+    ``defaults`` is the universe of tunable options that
+    :meth:`repro.cc.config.CCConfig.validate` checks overrides against.
+    """
+
+    name: str
+    build: Callable[[CCParams, Mapping[str, Any]], Callable[["Hca"], Any]]
+    defaults: Mapping[str, Any]
+    description: str
 
 
 @runtime_checkable
@@ -103,7 +124,7 @@ class _RateState:
 class RateBasedCC:
     """Shared reaction-point scaffold for rate-based mechanisms."""
 
-    #: Registry name; subclasses override.
+    #: Mechanism name; subclasses override.
     name = "rate"
 
     __slots__ = (
@@ -142,6 +163,13 @@ class RateBasedCC:
         self.timer_fires = 0
         self.frozen = False  # fault injection: recovery timer held
         self.trace = None  # tracer (repro.trace), or None
+
+    @classmethod
+    def build(
+        cls, params: CCParams, options: Mapping[str, Any]
+    ) -> Callable[["Hca"], "RateBasedCC"]:
+        """:attr:`Mechanism.build`: no per-network state to share."""
+        return lambda hca: cls(hca, params, options)
 
     # -- keying (same QP/SL modes as the IB reaction point) -------------
     def _key(self, flow: FlowKey, sl: int = 0) -> Hashable:

@@ -2,8 +2,8 @@
 
 The paper evaluates exactly one mechanism — IB FECN/BECN CCT
 throttling — against one parameter set. :class:`CCConfig` makes the
-mechanism itself an experiment axis: it names a registered
-:mod:`repro.cc` mechanism and carries its per-mechanism parameter
+mechanism itself an experiment axis: it names an entry of
+:data:`repro.cc.MECHANISMS` and carries its per-mechanism parameter
 overrides, and it participates in the result-store content key
 (:func:`cc_config_to_dict`, cross-referenced by simlint KEY001) so an
 arena cell never aliases a cache entry of a different mechanism.
@@ -26,10 +26,9 @@ DEFAULT_MECHANISM = "ib"
 class CCConfig:
     """Which congestion-control mechanism a run uses, and how tuned.
 
-    ``mechanism`` names a registry entry (``"ib"``, ``"dctcp"``,
-    ``"reno"``, ``"dcqcn"``, or anything registered via
-    :func:`repro.cc.registry.register_mechanism`); ``params`` overrides
-    that mechanism's default options. Construct with keyword overrides
+    ``mechanism`` names an entry of :data:`repro.cc.MECHANISMS`
+    (``"dcqcn"``, ``"dctcp"``, ``"ib"``, ``"reno"``); ``params``
+    overrides that mechanism's default options. Construct with keyword overrides
     through :meth:`make`::
 
         CCConfig.make("dctcp", gain=0.125)
@@ -50,28 +49,23 @@ class CCConfig:
     def validate(self) -> "CCConfig":
         """Check the mechanism exists and every override names a real
         option; raises ``ValueError`` with an actionable message."""
-        from repro.cc.registry import available_mechanisms, mechanism_spec
+        from repro.cc import find_mechanism
 
-        if self.mechanism not in available_mechanisms():
-            raise ValueError(
-                f"unknown CC mechanism {self.mechanism!r}; registered: "
-                + ", ".join(available_mechanisms())
-            )
-        spec = mechanism_spec(self.mechanism)
-        unknown = sorted(set(self.params_dict()) - set(spec.defaults))
+        defaults = find_mechanism(self.mechanism).defaults
+        unknown = sorted(set(self.params_dict()) - set(defaults))
         if unknown:
             raise ValueError(
                 f"unknown {self.mechanism!r} parameter(s) "
                 f"{', '.join(unknown)}; available: "
-                + (", ".join(sorted(spec.defaults)) or "(none)")
+                + (", ".join(sorted(defaults)) or "(none)")
             )
         return self
 
     def resolved_options(self) -> Dict[str, Any]:
         """Mechanism defaults merged with this config's overrides."""
-        from repro.cc.registry import mechanism_spec
+        from repro.cc import find_mechanism
 
-        options = dict(mechanism_spec(self.mechanism).defaults)
+        options = dict(find_mechanism(self.mechanism).defaults)
         options.update(self.params_dict())
         return options
 

@@ -1,4 +1,4 @@
-"""DCQCN/RCM-style reaction point, registered as ``"dcqcn"``.
+"""DCQCN/RCM-style reaction point (mechanism ``"dcqcn"``).
 
 The RoCEv2 Rate-based Congestion Management reaction point (Liu et
 al.'s PFC/RCM model, PAPERS.md), adapted to this simulator's feedback
@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.cc.base import RateBasedCC, _RateState
-from repro.cc.registry import register_mechanism
+from repro.cc.base import Mechanism, RateBasedCC, _RateState
 from repro.core.parameters import CCParams
 from repro.network.packet import Packet
 
@@ -124,9 +123,9 @@ class DcqcnCC(RateBasedCC):
         return rate if rate >= self.min_rate else self.min_rate
 
 
-DCQCN = register_mechanism(
+DCQCN = Mechanism(
     "dcqcn",
-    factory=lambda hca, params, options, shared: DcqcnCC(hca, params, options),
+    DcqcnCC.build,
     defaults={
         "gain": 1.0 / 16.0,  # g: alpha EWMA weight per CNP / decay per period
         "rai": 0.05,  # active-increase target step (link-rate fraction)

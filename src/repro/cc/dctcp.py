@@ -1,4 +1,4 @@
-"""DCTCP-style ECN-fraction EWMA scaling, registered as ``"dctcp"``.
+"""DCTCP-style ECN-fraction EWMA scaling (mechanism ``"dctcp"``).
 
 DCTCP's insight is to scale the congestion response to the *extent* of
 congestion: maintain an EWMA ``alpha`` of the fraction of packets that
@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.cc.base import RateBasedCC, _RateState
-from repro.cc.registry import register_mechanism
+from repro.cc.base import Mechanism, RateBasedCC, _RateState
 from repro.core.parameters import CCParams
 from repro.network.packet import Packet
 
@@ -81,9 +80,9 @@ class DctcpCC(RateBasedCC):
         return state.extra.get("marked", 0.0) > 0.0
 
 
-DCTCP = register_mechanism(
+DCTCP = Mechanism(
     "dctcp",
-    factory=lambda hca, params, options, shared: DctcpCC(hca, params, options),
+    DctcpCC.build,
     defaults={
         "gain": 1.0 / 16.0,  # DCTCP's g: EWMA weight of the new window
         "ai": 0.05,  # link-rate fraction regained per clean window

@@ -1,4 +1,4 @@
-"""Reno-style AIMD, registered as ``"reno"``.
+"""Reno-style AIMD (mechanism ``"reno"``).
 
 The classic TCP-Reno congestion response mapped from a window onto the
 injection-rate fraction (the exemplar ``Flow.on_ack`` dispatch in the
@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.cc.base import RateBasedCC, _RateState
-from repro.cc.registry import register_mechanism
+from repro.cc.base import Mechanism, RateBasedCC, _RateState
 from repro.core.parameters import CCParams
 
 if TYPE_CHECKING:
@@ -52,9 +51,9 @@ class RenoCC(RateBasedCC):
             state.rate = self._clamp(state.rate + self.ai)
 
 
-RENO = register_mechanism(
+RENO = Mechanism(
     "reno",
-    factory=lambda hca, params, options, shared: RenoCC(hca, params, options),
+    RenoCC.build,
     defaults={
         "md": 0.5,  # rate multiplier per congestion notification
         "ai": 0.05,  # link-rate fraction regained per timer period

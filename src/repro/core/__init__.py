@@ -5,8 +5,7 @@ throttling system.
 
 * :class:`~repro.core.parameters.CCParams` — every parameter of the
   paper's Table I plus the CCT population knobs;
-* :mod:`repro.core.cct` — Congestion Control Table construction and
-  injection-rate-delay (IRD) semantics;
+* :mod:`repro.core.cct` — Congestion Control Table construction;
 * :class:`~repro.core.switch_cc.SwitchCC` — switch-side congestion
   detection (threshold weight, root-vs-victim rule, ``Victim_Mask``)
   and FECN marking (``Packet_Size``, ``Marking_Rate``);
@@ -14,7 +13,8 @@ throttling system.
   per-QP (or per-SL) CCT index, ``CCTI_Increase``/``Limit``/``Min``,
   ``CCTI_Timer`` recovery;
 * :class:`~repro.core.manager.CCManager` — the Congestion Control
-  Manager that configures a whole network.
+  Manager that configures a whole network with any mechanism of
+  :data:`repro.cc.MECHANISMS`.
 """
 
 from repro.core.parameters import CCParams
@@ -22,6 +22,5 @@ from repro.core.cct import build_cct
 from repro.core.switch_cc import SwitchCC
 from repro.core.hca_cc import HcaCC
 from repro.core.manager import CCManager
-from repro.core.stats import CcSnapshot, snapshot_cc
 
-__all__ = ["CCParams", "build_cct", "SwitchCC", "HcaCC", "CCManager", "CcSnapshot", "snapshot_cc"]
+__all__ = ["CCParams", "build_cct", "SwitchCC", "HcaCC", "CCManager"]

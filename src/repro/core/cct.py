@@ -1,4 +1,4 @@
-"""Congestion Control Table construction and IRD semantics.
+"""Congestion Control Table construction.
 
 The CCT maps a flow's current index (CCTI) to an *injection rate
 delay* (IRD): the extra gap inserted between consecutive packets of
@@ -6,7 +6,8 @@ the flow, computed relative to the packet's own length (per the spec:
 "the IRD calculation being relative to the packet length"). A flow at
 index ``i`` whose packets take ``ser`` ns to serialize may inject at
 most one packet every ``ser * (1 + CCT[i])`` ns — i.e. it runs at
-``1 / (1 + CCT[i])`` of link rate.
+``1 / (1 + CCT[i])`` of link rate
+(:meth:`repro.core.hca_cc.HcaCC.on_inject` applies it).
 
 The spec does not prescribe table contents. We provide:
 
@@ -46,11 +47,3 @@ def build_cct(
         raise ValueError(f"unknown CCT shape: {shape!r}")
     return table
 
-
-def ird_gap_ns(cct_value: float, wire_size: int, byte_time_ns: float) -> float:
-    """Extra inter-packet delay for one packet under a CCT entry.
-
-    The flow's next packet may start no earlier than
-    ``start + serialization + ird_gap_ns(...)``.
-    """
-    return cct_value * wire_size * byte_time_ns

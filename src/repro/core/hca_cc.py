@@ -20,9 +20,8 @@ Operation modes (paper section II.2):
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List
 
-from repro.core.cct import build_cct
 from repro.core.parameters import CCParams
 from repro.network.packet import FlowKey, Packet
 
@@ -51,12 +50,10 @@ class HcaCC:
         "trace",
     )
 
-    def __init__(self, hca, params: CCParams, cct: Optional[List[float]] = None) -> None:
+    def __init__(self, hca, params: CCParams, cct: List[float]) -> None:
         self.hca = hca
         self.params = params
-        self.cct = cct if cct is not None else build_cct(
-            params.ccti_limit, shape=params.cct_shape, slope=params.cct_slope
-        )
+        self.cct = cct  # repro.core.cct.build_cct, one table per network
         if len(self.cct) < params.ccti_limit + 1:
             raise ValueError("CCT shorter than CCTI_Limit + 1")
         self._states: Dict[Hashable, _FlowState] = {}

@@ -8,14 +8,12 @@ switch, sets the ``Victim_Mask`` on HCA-facing switch ports (the spec's
 recommended practice — see footnote 2 of the paper), and installs one
 reaction point per HCA.
 
-Which reaction point is pluggable (:mod:`repro.cc`): ``cc_config``
-selects a registered mechanism; omitted, the paper's IB CCT mechanism
-(:class:`~repro.core.hca_cc.HcaCC`) installs exactly as it always has —
-``prepare`` builds the shared CCT with the same :func:`build_cct` call
-and every HCA shares that one table, so default runs are byte-identical
-to the pre-registry code (the golden digests pin this). Switch-side
-marking is mechanism-independent: every mechanism consumes the same
-FECN/BECN feedback the switches produce.
+Which reaction point is pluggable: ``cc_config`` names an entry of
+:data:`repro.cc.MECHANISMS`; omitted, the paper's IB CCT mechanism
+(:class:`~repro.core.hca_cc.HcaCC`) installs, every HCA sharing the one
+table its ``build`` makes (the golden digests pin the event stream).
+Switch-side marking is mechanism-independent: every mechanism consumes
+the same FECN/BECN feedback the switches produce.
 
 Running without CC (the paper's baselines) simply means never calling
 ``install`` — switches then never mark and HCAs never throttle.
@@ -23,10 +21,9 @@ Running without CC (the paper's baselines) simply means never calling
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.cc.config import CCConfig
-from repro.cc.registry import mechanism_spec
 from repro.core.parameters import CCParams
 from repro.core.switch_cc import SwitchCC
 
@@ -34,32 +31,25 @@ from repro.core.switch_cc import SwitchCC
 class CCManager:
     """Configure congestion control across a network."""
 
-    __slots__ = ("params", "cc_config", "spec", "options", "shared", "switch_cc", "hca_cc")
+    __slots__ = ("params", "cc_config", "build_hca_cc", "switch_cc", "hca_cc")
 
     def __init__(
         self,
         params: Optional[CCParams] = None,
         cc_config: Optional[CCConfig] = None,
     ) -> None:
+        # Imported here: repro.cc imports this package's HcaCC.
+        from repro.cc import find_mechanism
+
         self.params = params or CCParams.paper_table1()
         self.cc_config = (cc_config or CCConfig()).validate()
-        self.spec = mechanism_spec(self.cc_config.mechanism)
-        self.options = self.cc_config.resolved_options()
-        # Per-network shared state (the IB mechanism's one CCT; None for
-        # mechanisms that keep all state per HCA).
-        self.shared = self.spec.prepare(self.params, self.options)
+        mechanism = find_mechanism(self.cc_config.mechanism)
+        # Once per network: the IB mechanism builds its one CCT here.
+        self.build_hca_cc: Callable[[Any], Any] = mechanism.build(
+            self.params, self.cc_config.resolved_options()
+        )
         self.switch_cc: List[SwitchCC] = []
         self.hca_cc: List[Any] = []
-
-    @property
-    def cct(self):
-        """The shared CCT (``"ib"`` mechanism), else ``None``."""
-        return self.shared if self.cc_config.mechanism == "ib" else None
-
-    @property
-    def mechanism(self) -> str:
-        """Name of the installed congestion-control mechanism."""
-        return self.cc_config.mechanism
 
     def install(self, network) -> "CCManager":
         """Activate CC on every switch and HCA of ``network``."""
@@ -75,7 +65,7 @@ class CCManager:
                 self.switch_cc[hl.switch_id].set_victim_mask(hl.switch_port)
         self.hca_cc = []
         for hca in network.hcas:
-            hcc = self.spec.factory(hca, params, self.options, self.shared)
+            hcc = self.build_hca_cc(hca)
             hca.cc = hcc
             self.hca_cc.append(hcc)
         return self

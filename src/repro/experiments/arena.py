@@ -4,7 +4,7 @@ The paper's Table II measures one mechanism (IB CCT throttling) against
 the *silent* congestion-tree scenario; its figures extend that to the
 *windy* (partial hotspot share) and *moving* (finite-lifetime hotspot)
 members of the taxonomy. The arena crosses the whole taxonomy with
-every registered :mod:`repro.cc` mechanism: per scenario it runs one
+every mechanism of :data:`repro.cc.MECHANISMS`: per scenario it runs one
 shared no-CC baseline plus one CC-on cell per mechanism, and reports a
 Table-II-style matrix — hotspot / non-hotspot / total receive rates,
 fairness, and total-throughput improvement over the no-CC baseline.
@@ -32,7 +32,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.cc import CCConfig, available_mechanisms
+import repro.cc
+from repro.cc import CCConfig
 from repro.experiments.config import ExperimentConfig, ScaleProfile
 from repro.experiments.runner import ExperimentResult
 
@@ -87,7 +88,7 @@ class ArenaCell:
     """One (scenario, mechanism) matrix entry."""
 
     scenario: str
-    mechanism: str  # registered repro.cc name, or "off" for the baseline
+    mechanism: str  # a repro.cc.MECHANISMS name, or "off" for the baseline
     result: ExperimentResult
     baseline: Optional[ExperimentResult] = None  # the scenario's no-CC run
 
@@ -209,15 +210,15 @@ class ArenaResult:
 def arena_cells(scale: ScaleProfile, seed: int, opts) -> List[ExperimentConfig]:
     """Per scenario, one no-CC baseline then one CC-on cell per mechanism.
 
-    The mechanisms are every registered :mod:`repro.cc` mechanism, or
-    only ``opts.cc_config`` when set. The baseline carries no
+    The mechanisms are every entry of :data:`repro.cc.MECHANISMS`, in
+    its order, or only ``opts.cc_config`` when set. The baseline carries no
     ``cc_config``, so every per-mechanism campaign shares its cache
     entry. ``opts.quick`` shrinks simulated time to a smoke matrix.
     """
     if opts.cc_config is not None:
         mechanisms = [opts.cc_config.validate()]
     else:
-        mechanisms = [CCConfig.make(m).validate() for m in available_mechanisms()]
+        mechanisms = [CCConfig.make(m.name) for m in repro.cc.MECHANISMS]
     cells: List[ExperimentConfig] = []
     for scenario in SCENARIOS:
         base = scenario.base_config(scale, seed=seed, quick=opts.quick)

@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MECH[:key=value,...]",
         help=(
             "congestion-control mechanism for the CC-on cells "
-            "(registered repro.cc name — ib, dctcp, reno, dcqcn — with "
+            "(a repro.cc.MECHANISMS name — dcqcn, dctcp, ib, reno — with "
             "optional option overrides, e.g. dctcp:gain=0.125); for the "
             "arena artifact this restricts the matrix to one mechanism. "
             "Default: ib, the paper's mechanism, byte-identical to "

@@ -134,8 +134,8 @@ class ExperimentConfig:
     # the raw lossless fabric and its golden digests byte-identical.
     # Like faults, part of the result-store content key.
     transport: Optional[TransportConfig] = None
-    # Congestion-control mechanism selection (repro.cc): which
-    # registered mechanism throttles when ``cc=True``, plus its option
+    # Congestion-control mechanism selection: which entry of
+    # repro.cc.MECHANISMS throttles when ``cc=True``, plus its option
     # overrides. None (the default) means the paper's "ib" mechanism —
     # byte-identical to the pre-arena code, and hashed identically in
     # the result store. Ignored when ``cc=False``.

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.core.manager import CCManager
-from repro.core.stats import snapshot_transport
 from repro.engine.rng import RngRegistry
 from repro.engine.simulator import Simulator
 from repro.experiments.config import ExperimentConfig
@@ -55,8 +54,8 @@ class ExperimentResult:
     cnps_dropped: int = 0
     # Filled only for reliable-transport runs (cfg.transport,
     # repro.transport). ``flow_health`` lists only degraded flows (one
-    # dict per flow, see repro.core.stats.FlowHealth) — a run with
-    # failed flows is degraded-but-valid, not an error.
+    # dict per flow, see TransportLayer.summary) — a run with failed
+    # flows is degraded-but-valid, not an error.
     retx_packets: int = 0
     retx_bytes: int = 0
     transport_timeouts: int = 0
@@ -269,7 +268,7 @@ def run_experiment(
         if session is not None:
             session.close()
     wall = time.perf_counter() - started
-    tsnap = snapshot_transport(network) if transport_layer is not None else None
+    transport = transport_layer.summary() if transport_layer is not None else {}
 
     rates = collector.all_rx_rates_gbps(sim_time)
     hotspots = list(schedule.current_targets)
@@ -307,14 +306,7 @@ def run_experiment(
         fault_recoveries=injector.recoveries_applied if injector else 0,
         dropped_packets=injector.dropped_packets() if injector else 0,
         cnps_dropped=injector.cnps_dropped() if injector else 0,
-        retx_packets=tsnap.retx_packets if tsnap else 0,
-        retx_bytes=tsnap.retx_bytes if tsnap else 0,
-        transport_timeouts=tsnap.timeouts if tsnap else 0,
-        failed_flows=tsnap.failed_flows if tsnap else 0,
-        recovery_ns_total=tsnap.recovery_ns_total if tsnap else 0.0,
-        flow_health=(
-            [fh.to_dict() for fh in tsnap.degraded] if tsnap else None
-        ),
+        **transport,
     )
 
 

@@ -15,7 +15,8 @@ CC hooks: on receiving a FECN-marked packet the sink immediately
 returns a CNP (BECN) to the source; on receiving a BECN the HCA-side
 reaction point (``self.cc``, any :class:`repro.cc.CongestionControl` —
 the paper's :class:`repro.core.hca_cc.HcaCC` CCT table by default,
-installed per the experiment's :class:`repro.cc.CCConfig`) deepens the
+built by the :data:`repro.cc.MECHANISMS` entry the experiment's
+:class:`repro.cc.CCConfig` names) deepens the
 flow's throttle so subsequent injections of that flow are spaced
 further apart (the CCT's IRD for ``"ib"``, ``ser / rate`` for the
 rate-based mechanisms). The dispatch here is mechanism-agnostic: the

@@ -451,3 +451,50 @@ class TransportLayer:
                     flow.timeouts,
                 )
         return self
+
+    def summary(self) -> dict:
+        """The run's transport fields of ``ExperimentResult``, as kwargs.
+
+        Totals over every sender flow, plus ``flow_health``: one dict per
+        flow that needed the recovery path (retransmitted, timed out, or
+        not OK now) — at paper scale the healthy majority stays implicit.
+        A recovery still open counts up to now.
+        """
+        retx_packets = retx_bytes = timeouts = failed = 0
+        recovery_total = 0.0
+        degraded: List[dict] = []
+        for tr in self.transports:
+            now = tr.sim.now
+            for flow in tr.tx_flows.values():
+                retx_packets += flow.retx_packets
+                retx_bytes += flow.retx_bytes
+                timeouts += flow.timeouts
+                recovery = flow.recovery_ns
+                if flow.state == FLOW_RECOVERING:
+                    recovery += now - flow.recovery_start
+                elif flow.state == FLOW_FAILED:
+                    failed += 1
+                recovery_total += recovery
+                if flow.state != FLOW_OK or flow.retx_packets or flow.timeouts:
+                    degraded.append({
+                        "src": tr.node_id,
+                        "dst": flow.dst,
+                        "state": flow.state,
+                        "acked_psn": flow.acked_psn,
+                        "next_psn": flow.next_psn,
+                        "pending_bytes": flow.pending_bytes(),
+                        "retx_packets": flow.retx_packets,
+                        "retx_bytes": flow.retx_bytes,
+                        "timeouts": flow.timeouts,
+                        "rto_ns": flow.rto_ns,
+                        "recovery_ns": recovery,
+                        "failed_discards": flow.failed_discards,
+                    })
+        return {
+            "retx_packets": retx_packets,
+            "retx_bytes": retx_bytes,
+            "transport_timeouts": timeouts,
+            "failed_flows": failed,
+            "recovery_ns_total": recovery_total,
+            "flow_health": degraded,
+        }

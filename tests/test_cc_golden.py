@@ -1,12 +1,12 @@
-"""CC-subsystem golden regression: the registry must not move the paper.
+"""CC-subsystem golden regression: the mechanism axis must not move the paper.
 
-The :mod:`repro.cc` registry re-routes every CC install through a
-mechanism factory. These tests pin the two invariants that refactor
-must preserve:
+Every CC install goes through a :data:`repro.cc.MECHANISMS` entry's
+``build``. These tests pin the invariants that indirection must
+preserve:
 
 * **byte-identity of the default** — an explicit ``CCConfig("ib")``,
   the implicit default (``cc_config=None``, the CLI path without
-  ``--cc``), and the pinned golden digest of the pre-registry code all
+  ``--cc``), and the pinned golden digest of the paper's cell all
   produce the *same event stream*;
 * **store-key stability** — the explicit and implicit spellings of the
   paper's mechanism share one content key (no cache split), while any
@@ -23,6 +23,7 @@ import os
 
 import pytest
 
+import repro.cc
 from repro.cc import CCConfig
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.runner import TracedRun, config_slug, run_experiment
@@ -57,7 +58,7 @@ def _quick_arena_config(cc: CCConfig) -> ExperimentConfig:
 
 @pytest.mark.slow
 def test_explicit_ib_mechanism_matches_pinned_golden():
-    """``--cc ib`` is byte-identical to the pre-registry event stream."""
+    """``--cc ib`` is byte-identical to the pinned event stream."""
     cfg = _table2_cc_config(cc_config=CCConfig.make("ib"))
     assert config_slug(cfg) == GOLDEN_SLUG
     res = run_experiment(cfg, trace=True)
@@ -96,9 +97,9 @@ def test_store_key_distinct_for_other_mechanisms_and_tunings():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("mech", ["ib", "dctcp", "reno", "dcqcn"])
+@pytest.mark.parametrize("mech", [m.name for m in repro.cc.MECHANISMS])
 def test_mechanism_audits_clean_on_traced_quick_cell(mech):
-    """Every registered mechanism passes the online trace auditor.
+    """Every mechanism passes the online trace auditor.
 
     The CC feedback loops are the most timing-entangled consumers of
     the event queue (CCT timers, CNP scheduling, rate updates), so each

@@ -1,4 +1,4 @@
-"""Property tests for every registered congestion-control mechanism.
+"""Property tests for every congestion-control mechanism.
 
 The arena only compares mechanisms fairly if they all honour the
 reaction-point contract (:mod:`repro.cc.base`):
@@ -13,9 +13,9 @@ reaction-point contract (:mod:`repro.cc.base`):
   injections and queries are observationally pure;
 * feedback never *raises* a rate.
 
-Each property runs against every registry entry — including the
-paper's ``"ib"`` table mechanism through its ``rate_of`` view — so a
-newly registered mechanism is covered automatically.
+Each property runs against every :data:`repro.cc.MECHANISMS` entry —
+including the paper's ``"ib"`` table mechanism through its ``rate_of``
+view — so a new entry is covered automatically.
 """
 
 from __future__ import annotations
@@ -24,8 +24,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cc import CCConfig, mechanism_spec
+import repro.cc
+from repro.cc import CCConfig, Mechanism, find_mechanism
 from repro.core import CCParams
+from repro.experiments.arena import SCENARIOS, arena_cells
+from repro.experiments.artifacts import ArtifactOptions
+from repro.experiments.cli import parse_cc
+from repro.experiments.config import SCALES
 
 #: Generous bound on recovery length: ib needs up to CCTI_Limit fires,
 #: dcqcn's alpha decay needs ~200 quiet periods before its timer stops.
@@ -87,16 +92,13 @@ class _Pkt:
 
 def build(name: str):
     """One reaction point of mechanism ``name`` on a fake HCA."""
-    cc_config = CCConfig.make(name).validate()
-    spec = mechanism_spec(name)
-    options = cc_config.resolved_options()
-    params = CCParams.paper_table1()
-    shared = spec.prepare(params, options)
+    options = CCConfig.make(name).validate().resolved_options()
+    build_hca_cc = find_mechanism(name).build(CCParams.paper_table1(), options)
     hca = _FakeHca()
-    return spec.factory(hca, params, options, shared), hca
+    return build_hca_cc(hca), hca
 
 
-MECHANISMS = ("ib", "dctcp", "reno", "dcqcn")
+NAMES = [m.name for m in repro.cc.MECHANISMS]
 
 events_strategy = st.lists(
     st.one_of(
@@ -117,7 +119,7 @@ def _apply(cc, hca, kind, idx) -> None:
         hca.sim.fire_one()
 
 
-@pytest.mark.parametrize("name", MECHANISMS)
+@pytest.mark.parametrize("name", NAMES)
 @given(events=events_strategy)
 @settings(max_examples=50)
 def test_rate_stays_in_unit_interval(name, events):
@@ -130,7 +132,7 @@ def test_rate_stays_in_unit_interval(name, events):
             assert cc.next_allowed(flow, 0) >= 0.0
 
 
-@pytest.mark.parametrize("name", MECHANISMS)
+@pytest.mark.parametrize("name", NAMES)
 @given(becns=st.integers(min_value=1, max_value=40))
 @settings(max_examples=25)
 def test_monotone_recovery_without_feedback(name, becns):
@@ -156,7 +158,7 @@ def test_monotone_recovery_without_feedback(name, becns):
     assert not hca.sim.queue  # fully recovered: timer stopped rearming
 
 
-@pytest.mark.parametrize("name", MECHANISMS)
+@pytest.mark.parametrize("name", NAMES)
 @given(
     becns=st.integers(min_value=0, max_value=10),
     injects=st.integers(min_value=0, max_value=20),
@@ -177,7 +179,7 @@ def test_no_rate_change_without_feedback_or_timer(name, becns, injects):
     assert [cc.rate_of(f, 0) for f in FLOWS] == before
 
 
-@pytest.mark.parametrize("name", MECHANISMS)
+@pytest.mark.parametrize("name", NAMES)
 @given(becns=st.integers(min_value=1, max_value=30))
 @settings(max_examples=25)
 def test_feedback_never_raises_rate(name, becns):
@@ -191,9 +193,36 @@ def test_feedback_never_raises_rate(name, becns):
         last = rate
 
 
-@pytest.mark.parametrize("name", MECHANISMS)
+@pytest.mark.parametrize("name", NAMES)
 def test_satisfies_congestion_control_protocol(name):
     from repro.cc import CongestionControl
 
     cc, _ = build(name)
     assert isinstance(cc, CongestionControl)
+
+
+def test_mechanisms_sorted_unique_identifiers():
+    # The arena's column order and the CLI's MECH[:k=v] syntax rely on it.
+    assert NAMES == sorted(set(NAMES))
+    assert all(name.isidentifier() for name in NAMES)
+    with pytest.raises(ValueError, match="registered: dcqcn, dctcp, ib, reno"):
+        find_mechanism("nope")
+
+
+def test_a_new_entry_reaches_config_cli_and_arena(monkeypatch):
+    """A mechanism is one more tuple entry; nothing else registers it."""
+    mine = Mechanism(
+        "mine", repro.cc.RENO.build, {"md": 0.5, "ai": 0.05, "gain": 0.5},
+        "a throwaway entry",
+    )
+    monkeypatch.setattr(
+        repro.cc, "MECHANISMS", repro.cc.MECHANISMS + (mine,)
+    )
+    cc = parse_cc("mine:gain=1")
+    assert cc == CCConfig.make("mine", gain=1)
+    assert cc.resolved_options() == {"md": 0.5, "ai": 0.05, "gain": 1}
+    with pytest.raises(ValueError, match="unknown 'mine' parameter"):
+        CCConfig.make("mine", nope=1).validate()
+    cells = arena_cells(SCALES["quick"], 1, ArtifactOptions(quick=True))
+    per_scenario = [c.cc_config and c.cc_config.mechanism for c in cells]
+    assert per_scenario == [None, *NAMES, "mine"] * len(SCENARIOS)

@@ -1,4 +1,4 @@
-"""Property-based tests for CCT construction and IRD arithmetic.
+"""Property-based tests for CCT construction.
 
 The CCT is the one CC data structure whose shape the spec leaves open;
 these properties hold for *every* legal (limit, slope) combination,
@@ -7,14 +7,10 @@ not just the table-1 defaults the example tests exercise.
 
 from __future__ import annotations
 
-import math
-
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import build_cct
-from repro.core.cct import ird_gap_ns
-from repro.core.stats import CcSnapshot
 
 limits = st.integers(min_value=0, max_value=255)
 slopes = st.floats(
@@ -43,54 +39,3 @@ def test_cct_steeper_slope_throttles_harder(limit, shape):
     assert all(s >= h for s, h in zip(steep, shallow))
     assert steep[limit] > shallow[limit]
 
-
-@given(
-    # Subnormal CCT entries (< ~1e-308) aren't meaningful throttles and
-    # break float multiplication linearity through double rounding.
-    cct_value=st.floats(
-        min_value=0.0, max_value=1e3, allow_nan=False, allow_subnormal=False
-    ),
-    wire=st.integers(min_value=1, max_value=4200),
-    byte_time=st.floats(min_value=1e-3, max_value=10.0, allow_nan=False),
-)
-def test_ird_gap_scales_linearly(cct_value, wire, byte_time):
-    gap = ird_gap_ns(cct_value, wire, byte_time)
-    assert gap >= 0.0
-    # IRD is relative to the packet's own serialization time: doubling
-    # the wire size doubles the gap, and zero CCT entry means no gap.
-    assert math.isclose(ird_gap_ns(cct_value, 2 * wire, byte_time), 2 * gap)
-    assert ird_gap_ns(0.0, wire, byte_time) == 0.0
-    # CCT[i] is the delay in units of serialization time.
-    assert math.isclose(gap, cct_value * (wire * byte_time))
-
-
-@given(marks=st.integers(min_value=0, max_value=10**6))
-def test_marking_ratio_zero_eligible_edge(marks):
-    # With no eligible packets the ratio is defined as 0.0 — never a
-    # ZeroDivisionError, even if marks were (nonsensically) nonzero.
-    snap = CcSnapshot(
-        time_ns=0.0,
-        total_marks=marks,
-        total_eligible=0,
-        total_becns=0,
-        total_cnps=0,
-        throttled_flows=0,
-    )
-    assert snap.marking_ratio == 0.0
-
-
-@given(
-    marks=st.integers(min_value=0, max_value=1000),
-    extra=st.integers(min_value=0, max_value=1000),
-)
-def test_marking_ratio_bounded(marks, extra):
-    snap = CcSnapshot(
-        time_ns=0.0,
-        total_marks=marks,
-        total_eligible=marks + extra,
-        total_becns=0,
-        total_cnps=0,
-        throttled_flows=0,
-    )
-    if marks + extra:
-        assert 0.0 <= snap.marking_ratio <= 1.0

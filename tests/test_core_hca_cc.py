@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.cct import build_cct
 from repro.core.hca_cc import HcaCC
 from repro.core.parameters import CCParams
 from repro.engine import Simulator
@@ -15,7 +16,8 @@ def make_hca_cc(sim=None, *, params=None):
     hca.obuf.credits = [10.0**9] * 2
     hca.obuf.peer = type("S", (), {"deliver": lambda self, p: None})()
     params = params or CCParams.paper_table1().with_(cct_slope=1.0)
-    cc = HcaCC(hca, params)
+    cct = build_cct(params.ccti_limit, shape=params.cct_shape, slope=params.cct_slope)
+    cc = HcaCC(hca, params, cct)
     hca.cc = cc
     return sim, hca, cc
 
@@ -74,11 +76,12 @@ class TestIrdPacing:
     def test_throttled_flow_paced_after_inject(self):
         sim, hca, cc = make_hca_cc()
         cc.on_becn(FLOW)  # ccti=1, CCT[1]=1 (slope 1)
-        pkt = Packet(0, 5, 2048, header=30)
-        cc.on_inject(pkt)
-        # next = now + ser * (1 + CCT[1]) = 2 * ser
-        ser = 2078 * hca.obuf.link.byte_time_ns
-        assert cc.next_allowed(FLOW) == pytest.approx(2 * ser)
+        # next = now + ser * (1 + CCT[1]) = 2 * ser: the IRD is relative
+        # to the packet's own length, so it scales with the wire size.
+        for wire in (2078, 1039):
+            cc.on_inject(Packet(0, 5, wire - 30, header=30))
+            ser = wire * hca.obuf.link.byte_time_ns
+            assert cc.next_allowed(FLOW) == pytest.approx(2 * ser)
 
     def test_deeper_ccti_longer_gap(self):
         sim, hca, cc = make_hca_cc()

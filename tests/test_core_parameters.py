@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cct import build_cct, ird_gap_ns
+from repro.core.cct import build_cct
 from repro.core.parameters import CCTI_TIMER_UNIT_NS, CCParams
 
 
@@ -106,21 +106,3 @@ class TestCctBuilder:
         cct = build_cct(limit, shape=shape, slope=slope)
         assert all(v >= 0 for v in cct)
         assert all(a <= b for a, b in zip(cct, cct[1:]))
-
-
-class TestIrdGap:
-    def test_zero_entry_no_gap(self):
-        assert ird_gap_ns(0.0, 2078, 0.4) == 0.0
-
-    def test_gap_relative_to_packet_length(self):
-        # Twice the packet -> twice the gap (spec: IRD relative to length).
-        one = ird_gap_ns(3.0, 1000, 0.4)
-        two = ird_gap_ns(3.0, 2000, 0.4)
-        assert two == pytest.approx(2 * one)
-
-    def test_rate_interpretation(self):
-        # CCT value v throttles a flow to 1/(1+v) of link rate:
-        # time per packet becomes ser * (1 + v).
-        ser = 2078 * 0.4
-        gap = ird_gap_ns(4.0, 2078, 0.4)
-        assert (ser + gap) / ser == pytest.approx(5.0)

@@ -46,6 +46,10 @@ def run_python(*args: str) -> str:
 
 @pytest.mark.parametrize("statement", [
     "import repro",
+    # CCManager looks mechanisms up in repro.cc, which imports HcaCC
+    # from repro.core: either package imported first must resolve.
+    "import repro.core",
+    "import repro.cc",
     "from repro.experiments.runner import run_experiment",
     SERVE_HELP,
 ])
